@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -19,24 +20,49 @@ type HistoryKey struct {
 	Region   string  `json:"region"`
 }
 
-// keyFieldEscaper makes the canonical form injective: `|` separates the
-// fields, so a literal `|` (and the escape character itself) inside a
-// field must be escaped or distinct keys would collide.
-var keyFieldEscaper = strings.NewReplacer(`\`, `\\`, `|`, `\|`)
+// CanonicalKeyLen sizes the stack buffers canonical keys are encoded
+// into. A longer key still encodes correctly; it just spills to the heap.
+const CanonicalKeyLen = 128
 
-func escapeKeyField(s string) string {
-	if !strings.ContainsAny(s, `|\`) {
-		return s
-	}
-	return keyFieldEscaper.Replace(s)
+// AppendCanonical appends the canonical key form to dst and returns the
+// extended slice: App, Workload, CapW and Region joined by `|`, with `|`
+// and `\` inside the three string fields escaped by a `\` (so the form is
+// injective) and the cap in strconv's shortest 'g' form. It is the single
+// source of the store's shard placement, map keys and sort order and of
+// the fleet's ring placement; callers encode into a stack buffer, so
+// placement and lookups allocate nothing. -0 and +0 caps render
+// differently ("-0" vs "0") and are therefore distinct keys.
+//
+//arcslint:hotpath backs the 0-allocs/op BenchmarkStoreGet and BenchmarkFleetRoute baselines
+func (k HistoryKey) AppendCanonical(dst []byte) []byte {
+	dst = appendKeyField(dst, k.App)
+	dst = append(dst, '|')
+	dst = appendKeyField(dst, k.Workload)
+	dst = append(dst, '|')
+	dst = strconv.AppendFloat(dst, k.CapW, 'g', -1, 64)
+	dst = append(dst, '|')
+	return appendKeyField(dst, k.Region)
 }
 
-// String renders the canonical key form used in history files and as the
-// map key of every History implementation. The form is injective: `|`
-// and `\` inside App, Workload or Region are escaped.
+// appendKeyField appends s with every `|` and `\` prefixed by a `\`.
+func appendKeyField(dst []byte, s string) []byte {
+	for {
+		i := strings.IndexAny(s, `|\`)
+		if i < 0 {
+			return append(dst, s...)
+		}
+		dst = append(dst, s[:i]...)
+		dst = append(dst, '\\', s[i])
+		s = s[i+1:]
+	}
+}
+
+// String renders the canonical key form (AppendCanonical) used in
+// history files, dumps and as the map key of every History
+// implementation.
 func (k HistoryKey) String() string {
-	return fmt.Sprintf("%s|%s|%g|%s",
-		escapeKeyField(k.App), escapeKeyField(k.Workload), k.CapW, escapeKeyField(k.Region))
+	var buf [64]byte
+	return string(k.AppendCanonical(buf[:0]))
 }
 
 // History stores the best configurations found by search runs so that

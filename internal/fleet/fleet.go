@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"arcs/internal/codec"
+	arcs "arcs/internal/core"
 	"arcs/internal/store"
 )
 
@@ -290,21 +291,21 @@ func (f *Fleet) Ring() *Ring { return f.view().ring }
 // Detector returns the failure detector (for /healthz reporting).
 func (f *Fleet) Detector() *Detector { return f.det }
 
-// Owners appends the owner list for a canonical key (primary first),
+// Owners appends the owner list for a key (primary first),
 // append-style.
-func (f *Fleet) Owners(ck string, dst []string) []string {
+func (f *Fleet) Owners(k arcs.HistoryKey, dst []string) []string {
 	v := f.view()
-	return v.ring.Owners(ck, v.replicas, dst)
+	return v.ring.KeyOwners(k, v.replicas, dst)
 }
 
 // OwnsKey reports whether this node is one of the key's owners.
-func (f *Fleet) OwnsKey(ck string) bool {
+func (f *Fleet) OwnsKey(k arcs.HistoryKey) bool {
 	v := f.view()
 	if !v.selfIn {
 		return false
 	}
 	var stack [8]string
-	for _, o := range v.ring.Owners(ck, v.replicas, stack[:0]) {
+	for _, o := range v.ring.KeyOwners(k, v.replicas, stack[:0]) {
 		if o == f.self {
 			return true
 		}
@@ -340,8 +341,7 @@ func (f *Fleet) Ingest(ctx context.Context, reports []codec.Report, forwarded bo
 	forwards := make(map[string]*fwdBatch) // primary -> batch
 	var ownerBuf []string
 	for _, r := range reports {
-		ck := r.Key.String()
-		ownerBuf = v.ring.Owners(ck, v.replicas, ownerBuf[:0])
+		ownerBuf = v.ring.KeyOwners(r.Key, v.replicas, ownerBuf[:0])
 		owned := false
 		if v.selfIn {
 			for _, o := range ownerBuf {
@@ -576,6 +576,7 @@ func (f *Fleet) sweep(ctx context.Context) {
 		var reportPush []codec.Report
 		down := false
 		var ownerBuf []string
+		var keyBuf [arcs.CanonicalKeyLen]byte
 		for shard := 0; shard < store.NumShards && !down; shard++ {
 			local := f.st.ShardEntries(shard)
 			if len(local) == 0 {
@@ -591,8 +592,8 @@ func (f *Fleet) sweep(ctx context.Context) {
 				remote[de.Key] = de
 			}
 			for _, e := range local {
-				ck := e.Key.String()
-				ownerBuf = v.ring.Owners(ck, v.replicas, ownerBuf[:0])
+				ck := e.Key.AppendCanonical(keyBuf[:0])
+				ownerBuf = v.ring.owners(hash64(ck), v.replicas, ownerBuf[:0])
 				peerOwns, selfOwns := false, false
 				for _, o := range ownerBuf {
 					peerOwns = peerOwns || o == name
@@ -601,7 +602,7 @@ func (f *Fleet) sweep(ctx context.Context) {
 				if !peerOwns {
 					continue // never push a key onto a node that does not own it
 				}
-				de, ok := remote[ck]
+				de, ok := remote[string(ck)]
 				if selfOwns {
 					// Owner-to-owner: repair when the peer is missing the
 					// key, behind on version, or divergent at the same

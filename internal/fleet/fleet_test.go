@@ -300,7 +300,7 @@ func (c *cluster) addNode(t *testing.T, name, via string, replicas int) *Fleet {
 
 // ownersOf returns (primary, all owners) for a key.
 func (c *cluster) ownersOf(k arcs.HistoryKey) []string {
-	return c.fleets[c.names[0]].Owners(k.String(), nil)
+	return c.fleets[c.names[0]].Owners(k, nil)
 }
 
 // nonOwner returns a node that does not own k.
@@ -564,24 +564,26 @@ func TestHandoffOverflowDrops(t *testing.T) {
 	}
 }
 
-// BenchmarkFleetRoute measures ring routing on the serving path. It
-// must stay allocation-free (append-style owner lookup into a stack
-// buffer) — the CI perf gate enforces 0 allocs/op.
+// BenchmarkFleetRoute measures ring routing on the serving path, from
+// the HistoryKey a request carries: canonical encoding into a stack
+// buffer, hashing and the owner walk. It must stay allocation-free
+// (append-style owner lookup into a stack buffer) — the CI perf gate
+// enforces 0 allocs/op.
 func BenchmarkFleetRoute(b *testing.B) {
 	nodes := []string{"http://a:1809", "http://b:1809", "http://c:1809", "http://d:1809", "http://e:1809"}
 	r, err := NewRing(nodes, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	keys := make([]string, 256)
+	keys := make([]arcs.HistoryKey, 256)
 	for i := range keys {
-		keys[i] = testKey(fmt.Sprintf("region%d", i), float64(40+i%5)).String()
+		keys[i] = testKey(fmt.Sprintf("region%d", i), float64(40+i%5))
 	}
 	var stack [8]string
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		owners := r.Owners(keys[i%len(keys)], 3, stack[:0])
+		owners := r.KeyOwners(keys[i%len(keys)], 3, stack[:0])
 		if len(owners) != 3 {
 			b.Fatal("bad owner count")
 		}

@@ -24,7 +24,7 @@ type Jitter struct {
 // apart within a few ticks.
 func NewJitter(seed int64, name string, base time.Duration) *Jitter {
 	return &Jitter{
-		rng:  rand.New(rand.NewSource(seed ^ int64(hash64str(name)))),
+		rng:  rand.New(rand.NewSource(seed ^ int64(hash64(name)))),
 		base: base,
 	}
 }

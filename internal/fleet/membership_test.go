@@ -46,7 +46,7 @@ func TestApplyMembershipSwapsView(t *testing.T) {
 	var owned arcs.HistoryKey
 	for i := 0; ; i++ {
 		k = testKey(testKeyName(i), 60)
-		owners := fl.Owners(k.String(), nil)
+		owners := fl.Owners(k, nil)
 		if owners[0] == "node0" && contains(owners, "node2") {
 			owned = k
 			break
@@ -108,7 +108,7 @@ func TestProposeJoinPropagates(t *testing.T) {
 	// The ring must hand node3 some primaries.
 	owned := 0
 	for i := 0; i < 200; i++ {
-		if c.fleets["node3"].Owners(testKey(testKeyName(i), 60).String(), nil)[0] == "node3" {
+		if c.fleets["node3"].Owners(testKey(testKeyName(i), 60), nil)[0] == "node3" {
 			owned++
 		}
 	}
@@ -135,7 +135,7 @@ func TestProposeLeavePropagates(t *testing.T) {
 	}
 	// The departed node adopted the membership that excludes it: it
 	// owns nothing now and must not accept unforwarded reports as owner.
-	if c.fleets["node2"].OwnsKey(testKey("post-leave", 60).String()) {
+	if c.fleets["node2"].OwnsKey(testKey("post-leave", 60)) {
 		t.Fatal("departed node still claims ownership")
 	}
 }

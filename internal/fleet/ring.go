@@ -1,6 +1,6 @@
 // Package fleet turns N independent arcsd processes into one logical
 // knowledge store. A deterministic consistent-hash ring over the
-// canonical (escaped-injective) HistoryKey string assigns every key a
+// canonical (escaped-injective) HistoryKey bytes assigns every key a
 // primary node and R-1 further replicas; writes are accepted by any
 // owner, versioned by the store as usual, and replicated owner-to-owner
 // under last-writer-wins reconciliation (store.Supersedes); writes that
@@ -18,8 +18,9 @@ package fleet
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+
+	arcs "arcs/internal/core"
 )
 
 // DefaultVNodes is the number of virtual points each node projects onto
@@ -94,20 +95,34 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 // Nodes returns the sorted member names. Callers must not mutate it.
 func (r *Ring) Nodes() []string { return r.nodes }
 
-// Owners appends the n distinct nodes owning key — the first is the
-// primary, the rest the replicas in ring order — and returns the
-// extended slice (append-style, so routing allocates nothing at steady
-// state). n is clamped to the member count.
+// Owners appends the n distinct nodes owning the canonical key string
+// key — the first is the primary, the rest the replicas in ring order —
+// and returns the extended slice (append-style, so routing allocates
+// nothing at steady state). n is clamped to the member count.
+func (r *Ring) Owners(key string, n int, dst []string) []string {
+	return r.owners(hash64(key), n, dst)
+}
+
+// KeyOwners is Owners for a HistoryKey. It hashes the canonical bytes
+// (HistoryKey.AppendCanonical) encoded into a stack buffer, so it places
+// k exactly where Owners(k.String(), ...) does without building the
+// string.
 //
 //arcslint:hotpath backs the 0-allocs/op BenchmarkFleetRoute baseline
-func (r *Ring) Owners(key string, n int, dst []string) []string {
+func (r *Ring) KeyOwners(k arcs.HistoryKey, n int, dst []string) []string {
+	var buf [arcs.CanonicalKeyLen]byte
+	return r.owners(hash64(k.AppendCanonical(buf[:0])), n, dst)
+}
+
+// owners walks the ring clockwise from hash h, collecting n distinct
+// nodes.
+func (r *Ring) owners(h uint64, n int, dst []string) []string {
 	if n > len(r.nodes) {
 		n = len(r.nodes)
 	}
 	if n <= 0 {
 		return dst
 	}
-	h := hash64str(key)
 	// First point clockwise from the key's hash.
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
@@ -174,27 +189,21 @@ func (r *Ring) OwnedShare(node string) float64 {
 // step a 3-node 64-vnode ring measured a 67%/11%/22% split. The
 // function must never change: every member must compute identical
 // placements, and a rolling upgrade that changed the hash would route
-// every key differently mid-flight.
-func hash64(b []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(b)
-	return mix64(h.Sum64())
-}
-
-// hash64str is hash64 without forcing the string onto the heap.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func hash64str(s string) uint64 {
+// every key differently mid-flight. Generic over string and []byte so
+// neither form is copied onto the heap to be hashed.
+func hash64[T string | []byte](b T) uint64 {
 	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
 		h *= fnvPrime64
 	}
 	return mix64(h)
 }
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // mix64 is the MurmurHash3 fmix64 finaliser: full avalanche, so every
 // input bit moves every output bit with probability ~1/2.

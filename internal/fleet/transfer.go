@@ -195,7 +195,7 @@ func (f *Fleet) Drain(ctx context.Context) (int, error) {
 	var ownerBuf []string
 	for shard := 0; shard < store.NumShards; shard++ {
 		for _, e := range f.st.ShardEntries(shard) {
-			ownerBuf = v.ring.Owners(e.Key.String(), v.replicas, ownerBuf[:0])
+			ownerBuf = v.ring.KeyOwners(e.Key, v.replicas, ownerBuf[:0])
 			for _, o := range ownerBuf {
 				if o != f.self {
 					batches[o] = append(batches[o], e)
@@ -252,7 +252,7 @@ func (f *Fleet) RangeEntries(shard int, forNode string) []store.Entry {
 	var out []store.Entry
 	var ownerBuf []string
 	for _, e := range f.st.ShardEntries(shard) {
-		ownerBuf = v.ring.Owners(e.Key.String(), v.replicas, ownerBuf[:0])
+		ownerBuf = v.ring.KeyOwners(e.Key, v.replicas, ownerBuf[:0])
 		for _, o := range ownerBuf {
 			if o == forNode {
 				out = append(out, e)

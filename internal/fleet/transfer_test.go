@@ -52,7 +52,7 @@ func TestBootstrapPullsOwnedRanges(t *testing.T) {
 
 	owned := 0
 	for _, k := range keys {
-		if !nf.OwnsKey(k.String()) {
+		if !nf.OwnsKey(k) {
 			continue
 		}
 		owned++
@@ -77,7 +77,7 @@ func TestBootstrapPullsOwnedRanges(t *testing.T) {
 	// RangeEntries only serves owned ranges, so the joiner's store must
 	// hold nothing it does not own.
 	for _, e := range c.stores["node3"].Entries() {
-		if !nf.OwnsKey(e.Key.String()) {
+		if !nf.OwnsKey(e.Key) {
 			t.Fatalf("joiner bootstrapped unowned key %v", e.Key)
 		}
 	}
@@ -159,7 +159,7 @@ func TestBootstrapTornFrameCrashTorture(t *testing.T) {
 	// The invariant under torture: whatever did land is a whole entry,
 	// byte-identical to the serving owner's copy. No partial merges.
 	for _, e := range c.stores["node3"].Entries() {
-		if !nf.OwnsKey(e.Key.String()) {
+		if !nf.OwnsKey(e.Key) {
 			t.Fatalf("torn bootstrap left unowned key %v", e.Key)
 		}
 		found := false
@@ -178,7 +178,7 @@ func TestBootstrapTornFrameCrashTorture(t *testing.T) {
 	c.setTorn("node0", 0)
 	c.tickAll(ctx, 3)
 	for _, k := range keys {
-		if !nf.OwnsKey(k.String()) {
+		if !nf.OwnsKey(k) {
 			continue
 		}
 		if _, ok := c.stores["node3"].Get(k); !ok {
@@ -204,7 +204,7 @@ func TestDrainPushesToNewOwners(t *testing.T) {
 	if _, err := leaving.ProposeLeave(ctx, "node2"); err != nil {
 		t.Fatal(err)
 	}
-	if leaving.OwnsKey(testKey("post", 60).String()) {
+	if leaving.OwnsKey(testKey("post", 60)) {
 		t.Fatal("departed node still claims ownership before drain")
 	}
 	pushed, err := leaving.Drain(ctx)
@@ -259,7 +259,7 @@ func TestHandoffDropRepairedByAntiEntropy(t *testing.T) {
 	var owned []arcs.HistoryKey
 	for i := 0; len(owned) < 6; i++ {
 		k := testKey(fmt.Sprintf("drop%d", i), 60)
-		if fl.OwnsKey(k.String()) {
+		if fl.OwnsKey(k) {
 			owned = append(owned, k)
 			fl.Ingest(ctx, []codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 4}, Perf: 2}}, false)
 		}
@@ -277,7 +277,7 @@ func TestHandoffDropRepairedByAntiEntropy(t *testing.T) {
 	}
 	for _, k := range owned {
 		want, _ := st.Get(k)
-		for _, o := range fl.Owners(k.String(), nil) {
+		for _, o := range fl.Owners(k, nil) {
 			if o == "node0" {
 				continue
 			}

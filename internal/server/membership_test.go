@@ -179,7 +179,7 @@ func TestJoinLeaveEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || mr.Drained != 0 {
 		t.Fatalf("self-leave = %d %+v", resp.StatusCode, mr)
 	}
-	if fl.OwnsKey("SP|B|60|post-leave") {
+	if fl.OwnsKey(arcs.HistoryKey{App: "SP", Workload: "B", CapW: 60, Region: "post-leave"}) {
 		t.Fatal("departed server still claims ownership")
 	}
 
@@ -210,7 +210,7 @@ func TestTransferEndpoint(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		k := arcs.HistoryKey{App: "BT", Workload: "C", CapW: float64(40 + i%5), Region: fmt.Sprintf("r%d", i)}
 		st.Save(k, arcs.ConfigValues{Threads: 1 + i%8}, 1+float64(i%3))
-		for _, o := range fl.Owners(k.String(), nil) {
+		for _, o := range fl.Owners(k, nil) {
 			if o == other {
 				wantOwned[k.String()] = true
 			}

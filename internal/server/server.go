@@ -254,9 +254,9 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	// the ring says — one hop, never a loop. If every owner is
 	// unreachable (or has nothing), fall through and serve whatever is
 	// known locally: a stray answer beats an outage.
-	if s.fleet != nil && r.Header.Get(codec.ForwardedHeader) == "" && !s.fleet.OwnsKey(key.String()) {
+	if s.fleet != nil && r.Header.Get(codec.ForwardedHeader) == "" && !s.fleet.OwnsKey(key) {
 		arch := q.Get("arch")
-		for _, owner := range s.fleet.Owners(key.String(), nil) {
+		for _, owner := range s.fleet.Owners(key, nil) {
 			peer := s.peerClient(owner)
 			if peer == nil {
 				continue
@@ -526,6 +526,9 @@ func (s *Server) ingestReports(w http.ResponseWriter, r *http.Request) (saved in
 		if key.App == "" || key.Region == "" {
 			return fmt.Errorf("report %d: app and region are required", len(valid))
 		}
+		if math.IsNaN(key.CapW) || math.IsInf(key.CapW, 0) {
+			return fmt.Errorf("report %d: non-finite cap", len(valid))
+		}
 		if math.IsNaN(perf) || math.IsInf(perf, 0) {
 			return fmt.Errorf("report %d: non-finite perf", len(valid))
 		}
@@ -666,6 +669,10 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	for i := range entries {
 		if entries[i].Key.App == "" || entries[i].Key.Region == "" {
 			errorJSON(w, http.StatusBadRequest, "merge entry %d: app and region are required", i)
+			return
+		}
+		if math.IsNaN(entries[i].Key.CapW) || math.IsInf(entries[i].Key.CapW, 0) {
+			errorJSON(w, http.StatusBadRequest, "merge entry %d: non-finite cap", i)
 			return
 		}
 		if math.IsNaN(entries[i].Perf) || math.IsInf(entries[i].Perf, 0) {

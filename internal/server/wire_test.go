@@ -7,12 +7,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"testing"
 
 	"arcs/internal/codec"
 	arcs "arcs/internal/core"
 	"arcs/internal/ompt"
+	"arcs/internal/store"
 )
 
 func binReq(t *testing.T, method, url string, body []byte) *http.Request {
@@ -271,5 +273,46 @@ func TestJSONReportsEndpoint(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || out["saved"] != float64(2) {
 		t.Fatalf("JSON /v1/reports: status %d out %v", resp.StatusCode, out)
+	}
+}
+
+// TestNonFiniteCapRejected: a NaN or ±Inf cap can only arrive in a binary
+// body (JSON has no literal for it). /v1/report, /v1/reports and
+// /v1/merge must answer 400 and store nothing, as /v1/config and
+// /v1/neighbors already do for a bad cap query.
+func TestNonFiniteCapRejected(t *testing.T) {
+	cfg := arcs.ConfigValues{Threads: 8}
+	for _, capW := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		st, err := store.Open(t.TempDir(), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		ts := newTestServer(t, Config{Store: st})
+		key := arcs.HistoryKey{App: "SP", Workload: "B", CapW: capW, Region: "x_solve"}
+		var enc codec.Encoder
+		rep := codec.Report{Key: key, Cfg: cfg, Perf: 1.5}
+		ce := codec.Entry{Key: key, Cfg: cfg, Perf: 1.5, Version: 3}
+		for _, tc := range []struct {
+			path string
+			body []byte
+		}{
+			{"/v1/report", enc.AppendReport(nil, &rep)},
+			{"/v1/reports", enc.AppendReportBatch(nil, []codec.Report{rep})},
+			{"/v1/merge", enc.AppendEntry(nil, &ce)},
+		} {
+			resp, err := http.DefaultClient.Do(binReq(t, http.MethodPost, ts.URL+tc.path, tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("non-finite cap")) {
+				t.Errorf("cap %v: %s status %d (%s), want 400 non-finite cap", capW, tc.path, resp.StatusCode, body)
+			}
+		}
+		if n := st.Len(); n != 0 {
+			t.Errorf("cap %v: store holds %d entries after rejected writes", capW, n)
+		}
 	}
 }

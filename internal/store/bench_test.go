@@ -1,12 +1,16 @@
-// Benchmarks backing the storage-format claims (ISSUE 6): binary WAL
-// records and the columnar snapshot must beat their JSON predecessors.
-// WALAppend measures record construction (the write syscall is identical
-// either way, only smaller); SnapshotReplay measures the full
-// Open-and-replay path against a snapshot written in each format.
+// Benchmarks backing the storage-format claims: binary WAL records and
+// the columnar snapshot must beat their JSON predecessors. WALAppend
+// measures record construction (the write syscall is identical either
+// way, only smaller); SnapshotReplay measures the full Open-and-replay
+// path against a snapshot written in each format. StoreGet and Snapshot
+// back the canonical-key claims: an exact hit allocates nothing, and a
+// compaction's allocations do not grow with the sort's comparisons.
 package store
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -109,4 +113,69 @@ func BenchmarkSnapshotReplay(b *testing.B) {
 	const n = 2048
 	b.Run("binary", func(b *testing.B) { benchReplay(b, benchSnapshotDir(b, n, true)) })
 	b.Run("json", func(b *testing.B) { benchReplay(b, benchSnapshotDir(b, n, false)) })
+}
+
+// discardFS is an FS whose files swallow writes and whose reads find
+// nothing, so the benchmarks below time the store, not the disk.
+type discardFS struct{}
+
+type discardFile struct{}
+
+func (discardFS) MkdirAll(string, os.FileMode) error              { return nil }
+func (discardFS) OpenFile(string, int, os.FileMode) (File, error) { return discardFile{}, nil }
+func (discardFS) ReadFile(string) ([]byte, error)                 { return nil, os.ErrNotExist }
+func (discardFS) Rename(string, string) error                     { return nil }
+func (discardFS) Remove(string) error                             { return nil }
+
+func (discardFile) Read([]byte) (int, error)    { return 0, io.EOF }
+func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
+func (discardFile) Close() error                { return nil }
+func (discardFile) Sync() error                 { return nil }
+
+// benchStore returns a store on discardFS holding n distinct keys.
+func benchStore(b *testing.B, n int) (*Store, []arcs.HistoryKey) {
+	b.Helper()
+	s, err := Open("bench", Options{SnapshotEvery: -1, FS: discardFS{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]arcs.HistoryKey, n)
+	for i := range keys {
+		keys[i] = benchWALEntry.Key
+		keys[i].App = [...]string{"SP", "BT", "LU", "MG"}[i%4]
+		keys[i].CapW = float64(40 + i%60)
+		keys[i].Region = fmt.Sprintf("region_%d", i)
+		s.Save(keys[i], benchWALEntry.Cfg, benchWALEntry.Perf)
+	}
+	if s.Len() != n {
+		b.Fatalf("store holds %d entries, want %d", s.Len(), n)
+	}
+	return s, keys
+}
+
+// BenchmarkStoreGet is an exact-hit lookup: the key is encoded into a
+// stack buffer and hashed in place, so it must stay at 0 allocs/op.
+func BenchmarkStoreGet(b *testing.B) {
+	s, keys := benchStore(b, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Get(keys[i%len(keys)]); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
+// BenchmarkSnapshot compacts a 5k-entry store. Sorting compares the
+// canonical keys the shard maps already hold, so allocs/op is a small
+// constant plus O(1) per entry, never one key string per comparison.
+func BenchmarkSnapshot(b *testing.B) {
+	s, _ := benchStore(b, 5000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

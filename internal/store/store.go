@@ -34,12 +34,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"arcs/internal/codec"
@@ -62,7 +62,7 @@ const (
 
 	// NumShards is the fixed in-process shard count, bounding lock
 	// contention under concurrent serving; keys are distributed by FNV-1a
-	// hash of the canonical form. Exported because the fleet's
+	// hash of the canonical form (shardOf). Exported because the fleet's
 	// anti-entropy sweep walks the store shard by shard (ShardEntries)
 	// and exchanges per-shard digests — every node computes the same
 	// key→shard mapping, so the constant is part of the fleet protocol.
@@ -112,7 +112,7 @@ type Options struct {
 
 type shard struct {
 	mu      sync.RWMutex
-	entries map[string]Entry // guarded by mu
+	entries map[string]Entry // keyed by canonical key; guarded by mu
 }
 
 // Store is a concurrent, persistent History. It implements
@@ -179,10 +179,31 @@ func (s *Store) walPath() string         { return filepath.Join(s.dir, WALName) 
 func (s *Store) snapshotPath() string    { return filepath.Join(s.dir, SnapshotName) }
 func (s *Store) binSnapshotPath() string { return filepath.Join(s.dir, SnapshotBinName) }
 
-func (s *Store) shard(canonicalKey string) *shard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(canonicalKey))
-	return &s.shards[h.Sum32()%NumShards]
+func (s *Store) shard(ck []byte) *shard { return &s.shards[shardOf(ck)] }
+
+// shardOf is FNV-1a (32-bit) of the canonical key bytes
+// (HistoryKey.AppendCanonical) mod NumShards, computed inline so
+// placement allocates nothing. Every node computes the same mapping.
+func shardOf(ck []byte) int {
+	h := uint32(2166136261)
+	for _, c := range ck {
+		h ^= uint32(c)
+		h *= 16777619
+	}
+	return int(h % NumShards)
+}
+
+// checkFinite rejects a record that can neither be serialised nor
+// compared: a non-finite perf, or a non-finite cap, which would land
+// under a `NaN` or `Inf` canonical key.
+func checkFinite(k arcs.HistoryKey, perf float64) error {
+	if math.IsNaN(k.CapW) || math.IsInf(k.CapW, 0) {
+		return fmt.Errorf("non-finite cap %v", k.CapW)
+	}
+	if math.IsNaN(perf) || math.IsInf(perf, 0) {
+		return fmt.Errorf("non-finite perf %v", perf)
+	}
+	return nil
 }
 
 // replaySnapshot loads the compacted snapshot, ignoring a missing or
@@ -368,17 +389,22 @@ func cfgLess(a, b arcs.ConfigValues) bool {
 
 // applyReplay merges one replayed record under the Supersedes order:
 // higher version wins; equal versions (duplicated or divergent records)
-// resolve by keep-best perf, then config order.
+// resolve by keep-best perf, then config order. A record Save or Merge
+// would have rejected (non-finite cap or perf) is skipped.
 func (s *Store) applyReplay(e Entry) {
-	ck := e.Key.String()
+	if checkFinite(e.Key, e.Perf) != nil {
+		return
+	}
+	var buf [arcs.CanonicalKeyLen]byte
+	ck := e.Key.AppendCanonical(buf[:0])
 	sh := s.shard(ck)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	old, ok := sh.entries[ck]
+	old, ok := sh.entries[string(ck)]
 	if ok && !Supersedes(e, old) {
 		return
 	}
-	sh.entries[ck] = e
+	sh.entries[string(ck)] = e
 }
 
 // Merge applies one already-versioned entry — a record replicated from
@@ -386,22 +412,23 @@ func (s *Store) applyReplay(e Entry) {
 // merge to the WAL exactly like a Save. Unlike Save it never assigns a
 // version: the entry's author did, and last-writer-wins reconciliation
 // depends on applying that version verbatim. Returns whether the entry
-// replaced (or created) the stored record. Non-finite perfs are
+// replaced (or created) the stored record. Non-finite perfs and caps are
 // rejected as in Save.
 func (s *Store) Merge(e Entry) bool {
-	if math.IsNaN(e.Perf) || math.IsInf(e.Perf, 0) {
-		s.setErr(fmt.Errorf("store: non-finite perf %v for merged %v rejected", e.Perf, e.Key))
+	if err := checkFinite(e.Key, e.Perf); err != nil {
+		s.setErr(fmt.Errorf("store: %w for merged %v rejected", err, e.Key))
 		return false
 	}
-	ck := e.Key.String()
+	var buf [arcs.CanonicalKeyLen]byte
+	ck := e.Key.AppendCanonical(buf[:0])
 	sh := s.shard(ck)
 	sh.mu.Lock()
-	old, ok := sh.entries[ck]
+	old, ok := sh.entries[string(ck)]
 	if ok && !Supersedes(e, old) {
 		sh.mu.Unlock()
 		return false
 	}
-	sh.entries[ck] = e
+	sh.entries[string(ck)] = e
 	sh.mu.Unlock()
 	s.appendWAL(e)
 	return true
@@ -409,23 +436,25 @@ func (s *Store) Merge(e Entry) bool {
 
 // Save implements arcs.History: duplicate keys keep the best (lowest)
 // perf; an accepted update bumps the entry's version and is appended to
-// the WAL before Save returns. Non-finite perf values are rejected (they
-// cannot be serialised and cannot be meaningfully compared).
+// the WAL before Save returns. Non-finite perf and cap values are
+// rejected (they cannot be serialised and cannot be meaningfully
+// compared).
 func (s *Store) Save(k arcs.HistoryKey, cfg arcs.ConfigValues, perf float64) {
-	if math.IsNaN(perf) || math.IsInf(perf, 0) {
-		s.setErr(fmt.Errorf("store: non-finite perf %v for %v rejected", perf, k))
+	if err := checkFinite(k, perf); err != nil {
+		s.setErr(fmt.Errorf("store: %w for %v rejected", err, k))
 		return
 	}
-	ck := k.String()
+	var buf [arcs.CanonicalKeyLen]byte
+	ck := k.AppendCanonical(buf[:0])
 	sh := s.shard(ck)
 	sh.mu.Lock()
-	old, ok := sh.entries[ck]
+	old, ok := sh.entries[string(ck)]
 	if ok && old.Perf <= perf {
 		sh.mu.Unlock()
 		return
 	}
 	e := Entry{Key: k, Cfg: cfg, Perf: perf, Version: old.Version + 1}
-	sh.entries[ck] = e
+	sh.entries[string(ck)] = e
 	sh.mu.Unlock()
 	s.appendWAL(e)
 }
@@ -437,12 +466,15 @@ func (s *Store) Load(k arcs.HistoryKey) (arcs.ConfigValues, bool) {
 }
 
 // Get returns the full stored record for a key.
+//
+//arcslint:hotpath backs the 0-allocs/op BenchmarkStoreGet baseline
 func (s *Store) Get(k arcs.HistoryKey) (Entry, bool) {
-	ck := k.String()
+	var buf [arcs.CanonicalKeyLen]byte
+	ck := k.AppendCanonical(buf[:0])
 	sh := s.shard(ck)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.entries[ck]
+	e, ok := sh.entries[string(ck)]
+	sh.mu.RUnlock()
 	return e, ok
 }
 
@@ -531,8 +563,9 @@ func (s *Store) Neighbors(k arcs.HistoryKey, max int) []Neighbor {
 		ns = ns[:max]
 	}
 	out := make([]Neighbor, len(ns))
+	var buf [arcs.CanonicalKeyLen]byte
 	for i, n := range ns {
-		out[i] = Neighbor{Entry: byKey[n.Key.String()], Dist: n.Dist}
+		out[i] = Neighbor{Entry: byKey[string(n.Key.AppendCanonical(buf[:0]))], Dist: n.Dist}
 	}
 	return out
 }
@@ -549,38 +582,55 @@ func (s *Store) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
 
 // Entries returns every stored record sorted by canonical key
 // (deterministic dumps and snapshots).
-func (s *Store) Entries() []Entry {
-	var out []Entry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			out = append(out, e)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
-	return out
-}
+func (s *Store) Entries() []Entry { return sortedEntries(s.shards[:]) }
 
 // ShardEntries returns the records of one in-process shard, sorted by
 // canonical key. The fleet's anti-entropy sweep walks the store shard
 // by shard so a digest exchange touches one shard lock at a time; every
-// node computes the same key→shard mapping (FNV-1a mod NumShards), so
-// shard i here summarises exactly the keys a peer's shard i holds.
-// Indexes outside [0, NumShards) return nil.
+// node computes the same key→shard mapping (shardOf), so shard i
+// here summarises exactly the keys a peer's shard i holds. Indexes
+// outside [0, NumShards) return nil.
 func (s *Store) ShardEntries(i int) []Entry {
 	if i < 0 || i >= NumShards {
 		return nil
 	}
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	out := make([]Entry, 0, len(sh.entries))
-	for _, e := range sh.entries {
-		out = append(out, e)
+	return sortedEntries(s.shards[i : i+1])
+}
+
+// keyIndex is the small record sortedEntries sorts: a canonical key and
+// the position of its entry.
+type keyIndex struct {
+	ck string
+	i  int
+}
+
+// sortedEntries returns the records of the given shards in canonical-key
+// order. It sorts by the canonical keys the shard maps already hold, so
+// a compaction costs O(n log n) string compares and a constant number of
+// allocations, with no key encoded per comparison.
+func sortedEntries(shards []shard) []Entry {
+	n := 0
+	for i := range shards {
+		shards[i].mu.RLock()
+		n += len(shards[i].entries)
+		shards[i].mu.RUnlock()
 	}
-	sh.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
+	keys := make([]keyIndex, 0, n)
+	entries := make([]Entry, 0, n)
+	for i := range shards {
+		sh := &shards[i]
+		sh.mu.RLock()
+		for ck, e := range sh.entries {
+			keys = append(keys, keyIndex{ck: ck, i: len(entries)})
+			entries = append(entries, e)
+		}
+		sh.mu.RUnlock()
+	}
+	slices.SortFunc(keys, func(a, b keyIndex) int { return strings.Compare(a.ck, b.ck) })
+	out := make([]Entry, len(keys))
+	for j, k := range keys {
+		out[j] = entries[k.i]
+	}
 	return out
 }
 

@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -229,6 +231,57 @@ func TestNonFiniteRejected(t *testing.T) {
 	}
 	if err := s.Err(); err == nil {
 		t.Errorf("rejected save must surface through Err")
+	}
+}
+
+// TestNonFiniteCapRejected: a NaN or ±Inf cap would be stored under a
+// `NaN`/`Inf` canonical key. Save and Merge reject it through Err, and
+// replay skips such a record if one ever reached the WAL.
+func TestNonFiniteCapRejected(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	caps := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, capW := range caps {
+		s.Save(testKey("r", capW), arcs.ConfigValues{}, 1)
+		if err := s.Err(); err == nil || !strings.Contains(err.Error(), "non-finite cap") {
+			t.Errorf("Save cap %v: Err = %v, want non-finite cap", capW, err)
+		}
+		if s.Merge(Entry{Key: testKey("r", capW), Perf: 1, Version: 1}) {
+			t.Errorf("Merge accepted cap %v", capW)
+		}
+		if err := s.Err(); err == nil || !strings.Contains(err.Error(), "non-finite cap") {
+			t.Errorf("Merge cap %v: Err = %v, want non-finite cap", capW, err)
+		}
+	}
+	if s.Len() != 0 {
+		t.Fatalf("store holds %d entries after rejected writes", s.Len())
+	}
+	s.Save(testKey("ok", 60), arcs.ConfigValues{Threads: 4}, 2)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Append non-finite-cap records behind the valid one, as a foreign
+	// writer could have; replay must keep the valid record only.
+	var enc codec.Encoder
+	var wal []byte
+	for _, capW := range caps {
+		ce := codec.Entry{Key: testKey("r", capW), Perf: 1, Version: 1}
+		wal = enc.AppendEntry(wal, &ce)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, WALName), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(wal); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openStore(t, dir, Options{})
+	if got := r.Entries(); len(got) != 1 || got[0].Key != testKey("ok", 60) {
+		t.Fatalf("replayed %+v, want only the finite-cap record", got)
 	}
 }
 

@@ -188,7 +188,7 @@ func (f *Fleet) Client(node string) *Client { return f.cur.Load().clients[node] 
 // Owners returns the owner list (primary first) for a key.
 func (f *Fleet) Owners(k arcs.HistoryKey) []string {
 	v := f.cur.Load()
-	return v.ring.Owners(k.String(), v.replicas, nil)
+	return v.ring.KeyOwners(k, v.replicas, nil)
 }
 
 // Failovers reports how many times a request had to skip past a failed
@@ -206,7 +206,7 @@ func (f *Fleet) Refreshes() uint64 { return f.refreshes.Load() }
 // route appends the key's owners followed by the remaining members —
 // the full failover order for one key under the given view.
 func (v *clientView) route(k arcs.HistoryKey) []string {
-	order := v.ring.Owners(k.String(), v.replicas, make([]string, 0, len(v.nodes)))
+	order := v.ring.KeyOwners(k, v.replicas, make([]string, 0, len(v.nodes)))
 	for _, n := range v.nodes {
 		owned := false
 		for _, o := range order[:v.replicas] {
@@ -275,7 +275,7 @@ func (f *Fleet) Lookup(ctx context.Context, k arcs.HistoryKey, opts LookupOpts) 
 // is returned only when every owner failed.
 func (f *Fleet) LookupMerged(ctx context.Context, k arcs.HistoryKey, opts LookupOpts) (Result, error) {
 	v := f.view(ctx)
-	owners := v.ring.Owners(k.String(), v.replicas, nil)
+	owners := v.ring.KeyOwners(k, v.replicas, nil)
 	var best Result
 	found := false
 	var lastErr error
@@ -443,7 +443,8 @@ func (f *Fleet) ReportBatch(ctx context.Context, reports []Report) error {
 	v := f.view(ctx)
 	groups := make(map[string][]Report)
 	for _, r := range reports {
-		p := v.ring.Owners(r.Key.String(), 1, nil)[0]
+		var primary [1]string
+		p := v.ring.KeyOwners(r.Key, 1, primary[:0])[0]
 		groups[p] = append(groups[p], r)
 	}
 	var firstErr error
