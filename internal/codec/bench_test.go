@@ -186,23 +186,3 @@ func BenchmarkCodecEncodeSnapshot(b *testing.B) {
 		buf = enc.AppendSnapshot(buf[:0], entries)
 	}
 }
-
-func BenchmarkJSONEncodeSnapshot(b *testing.B) {
-	entries := benchSnapshotEntries(1024)
-	je := make([]jsonEntry, len(entries))
-	for i, e := range entries {
-		je[i] = jsonEntry(e)
-	}
-	data, err := json.MarshalIndent(je, "", "  ") // the legacy snapshot used MarshalIndent
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.MarshalIndent(je, "", "  "); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

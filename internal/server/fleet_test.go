@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"arcs/internal/codec"
@@ -15,9 +18,64 @@ import (
 	"arcs/internal/storeclient"
 )
 
+// getFrame GETs url without an Accept header and returns the payload
+// of the one frame of the given kind the frame-only endpoint answers.
+func getFrame(t *testing.T, url string, want byte) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != codec.ContentType {
+		t.Fatalf("GET %s without Accept: Content-Type %q, want %q", url, ct, codec.ContentType)
+	}
+	kind, payload, n, err := codec.Frame(body)
+	if err != nil || kind != want || n != len(body) {
+		t.Fatalf("GET %s: frame kind %#x (%d of %d bytes) err %v, want one kind %#x frame", url, kind, n, len(body), err, want)
+	}
+	return payload
+}
+
+// postMerge POSTs body to /v1/merge with the given Content-Type and
+// returns the status and, on success, the Ack frame's saved count.
+func postMerge(t *testing.T, base string, body []byte, ct string) (int, uint64) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPost, base+"/v1/merge", bytes.NewReader(body))
+	req.Header.Set("Content-Type", ct)
+	req.Header.Set("Accept", codec.ContentType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, 0
+	}
+	kind, payload, _, err := codec.Frame(data)
+	if err != nil || kind != codec.KindAck {
+		t.Fatalf("merge ack: kind %#x err %v", kind, err)
+	}
+	var dec codec.Decoder
+	var ack codec.Ack
+	if err := dec.DecodeAck(payload, &ack); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, ack.Saved
+}
+
 // TestDigestEndpoint checks /v1/digest standalone: the per-shard
-// digests must partition the store's keys with the stored versions, in
-// both encodings, and reject bad shard numbers.
+// digests must partition the store's keys with the stored versions,
+// arrive as one frame even without an Accept header, and reject bad
+// shard numbers.
 func TestDigestEndpoint(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -35,49 +93,18 @@ func TestDigestEndpoint(t *testing.T) {
 	}
 
 	got := map[string]uint64{}
+	var dec codec.Decoder
 	for shard := 0; shard < store.NumShards; shard++ {
-		resp, err := http.Get(fmt.Sprintf("%s/v1/digest?shard=%d", ts.URL, shard))
+		payload := getFrame(t, fmt.Sprintf("%s/v1/digest?shard=%d", ts.URL, shard), codec.KindDigest)
+		d, err := dec.DecodeDigest(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var d codec.Digest
-		if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
 		if int(d.Shard) != shard {
 			t.Fatalf("digest shard = %d, want %d", d.Shard, shard)
 		}
 		for _, e := range d.Entries {
 			got[e.Key] = e.Version
-		}
-
-		// Binary negotiation must carry the identical digest.
-		req, _ := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/digest?shard=%d", ts.URL, shard), nil)
-		req.Header.Set("Accept", codec.ContentType)
-		bresp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ct := bresp.Header.Get("Content-Type"); ct != codec.ContentType {
-			t.Fatalf("binary digest content-type = %q", ct)
-		}
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(bresp.Body); err != nil {
-			t.Fatal(err)
-		}
-		bresp.Body.Close()
-		kind, payload, _, err := codec.Frame(buf.Bytes())
-		if err != nil || kind != codec.KindDigest {
-			t.Fatalf("binary digest frame: kind %#x err %v", kind, err)
-		}
-		var dec codec.Decoder
-		bd, err := dec.DecodeDigest(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(bd.Entries) != len(d.Entries) {
-			t.Fatalf("binary digest has %d entries, JSON %d", len(bd.Entries), len(d.Entries))
 		}
 	}
 	if len(got) != len(keys) {
@@ -101,9 +128,9 @@ func TestDigestEndpoint(t *testing.T) {
 	}
 }
 
-// TestMergeEndpoint checks /v1/merge: versioned entries are applied
-// under Supersedes (idempotent re-sends merge zero), serve afterwards,
-// and non-finite perf is rejected.
+// TestMergeEndpoint checks /v1/merge: versioned KindEntry frames are
+// applied under Supersedes (idempotent re-sends merge zero), serve
+// afterwards, and non-finite perf and JSON bodies are rejected.
 func TestMergeEndpoint(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -113,49 +140,51 @@ func TestMergeEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{Store: st})
 
 	k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "main"}
-	entries := []store.Entry{{Key: k, Cfg: arcs.ConfigValues{Threads: 16}, Perf: 1.5, Version: 7}}
-	post := func(body []byte, ct string) (int, map[string]any) {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/merge", bytes.NewReader(body))
-		req.Header.Set("Content-Type", ct)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out map[string]any
-		_ = json.NewDecoder(resp.Body).Decode(&out)
-		return resp.StatusCode, out
-	}
-
-	body, _ := json.Marshal(entries)
-	code, out := post(body, "application/json")
-	if code != http.StatusOK || out["saved"] != float64(1) {
-		t.Fatalf("merge = %d %v, want 200 saved=1", code, out)
+	var enc codec.Encoder
+	ce := codec.Entry{Key: k, Cfg: arcs.ConfigValues{Threads: 16}, Perf: 1.5, Version: 7}
+	body := enc.AppendEntry(nil, &ce)
+	if code, saved := postMerge(t, ts.URL, body, codec.ContentType); code != http.StatusOK || saved != 1 {
+		t.Fatalf("merge = %d saved=%d, want 200 saved=1", code, saved)
 	}
 	// Idempotent: the identical entry merges zero the second time.
-	if code, out = post(body, "application/json"); code != http.StatusOK || out["saved"] != float64(0) {
-		t.Fatalf("re-merge = %d %v, want 200 saved=0", code, out)
+	if code, saved := postMerge(t, ts.URL, body, codec.ContentType); code != http.StatusOK || saved != 0 {
+		t.Fatalf("re-merge = %d saved=%d, want 200 saved=0", code, saved)
 	}
 	if e, ok := st.Get(k); !ok || e.Version != 7 || e.Cfg.Threads != 16 {
 		t.Fatalf("merged entry = %+v ok=%v", e, ok)
 	}
 
-	// Binary: a concatenation of KindEntry frames, higher version wins.
-	var enc codec.Encoder
-	ce := codec.Entry{Key: k, Cfg: arcs.ConfigValues{Threads: 32}, Perf: 1.2, Version: 9}
+	// A concatenation of frames: the higher version wins.
+	ce = codec.Entry{Key: k, Cfg: arcs.ConfigValues{Threads: 32}, Perf: 1.2, Version: 9}
 	ce2 := codec.Entry{Key: arcs.HistoryKey{App: "LU", Region: "r"}, Cfg: arcs.ConfigValues{Threads: 2}, Perf: 3, Version: 1}
 	bin := enc.AppendEntry(nil, &ce)
 	bin = enc.AppendEntry(bin, &ce2)
-	if code, out = post(bin, codec.ContentType); code != http.StatusOK || out["saved"] != float64(2) {
-		t.Fatalf("binary merge = %d %v, want 200 saved=2", code, out)
+	if code, saved := postMerge(t, ts.URL, bin, codec.ContentType); code != http.StatusOK || saved != 2 {
+		t.Fatalf("two-frame merge = %d saved=%d, want 200 saved=2", code, saved)
 	}
 	if e, _ := st.Get(k); e.Version != 9 || e.Cfg.Threads != 32 {
-		t.Fatalf("after binary merge entry = %+v", e)
+		t.Fatalf("after two-frame merge entry = %+v", e)
 	}
 
-	bad, _ := json.Marshal([]map[string]any{{"key": map[string]string{"app": "X", "region": "r"}, "perf": "NaN"}})
-	if code, _ = post(bad, "application/json"); code != http.StatusBadRequest {
-		t.Fatalf("bad merge status = %d, want 400", code)
+	bad := codec.Entry{Key: arcs.HistoryKey{App: "X", Region: "r"}, Perf: math.NaN(), Version: 1}
+	if code, _ := postMerge(t, ts.URL, enc.AppendEntry(nil, &bad), codec.ContentType); code != http.StatusBadRequest {
+		t.Fatalf("NaN-perf merge status = %d, want 400", code)
+	}
+
+	// Frame-only: a JSON body that would supersede gets a 4xx and
+	// leaves the store unchanged.
+	before := st.Entries()
+	newer, _ := json.Marshal([]store.Entry{
+		{Key: k, Cfg: arcs.ConfigValues{Threads: 8}, Perf: 1, Version: 20},
+		{Key: arcs.HistoryKey{App: "MG", Region: "r"}, Perf: 1, Version: 1},
+	})
+	for _, ct := range []string{"application/json", ""} {
+		if code, _ := postMerge(t, ts.URL, newer, ct); code < 400 || code >= 500 {
+			t.Fatalf("JSON merge (Content-Type %q) status = %d, want 4xx", ct, code)
+		}
+	}
+	if after := st.Entries(); !slices.Equal(after, before) {
+		t.Fatalf("rejected JSON merge changed the store: %+v -> %+v", before, after)
 	}
 }
 
@@ -164,7 +193,8 @@ func TestMergeEndpoint(t *testing.T) {
 // owner, marks the hop with the forwarded header, and an
 // already-forwarded request is answered locally no matter who owns it.
 func TestFleetLookupForwarding(t *testing.T) {
-	// Stub owner: answers every config lookup and records the header.
+	// Stub owner: answers every config lookup with the frame the peer
+	// client asks for, and records the header.
 	var sawForwarded bool
 	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/config" {
@@ -172,7 +202,7 @@ func TestFleetLookupForwarding(t *testing.T) {
 			return
 		}
 		sawForwarded = r.Header.Get(codec.ForwardedHeader) != ""
-		_ = json.NewEncoder(w).Encode(ConfigResponse{
+		writeConfig(w, r, ConfigResponse{
 			Config: arcs.ConfigValues{Threads: 64}, Perf: 1.25, Version: 3, Source: "exact",
 		})
 	}))

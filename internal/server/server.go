@@ -11,13 +11,13 @@
 //	POST /v1/reports  batched ingest: JSON array or one binary report-batch frame
 //	GET  /v1/neighbors?app=&workload=&region=&cap=[&max=]   ranked transfer donors
 //	GET  /v1/dump     full entry set with versions, streamed
-//	GET  /v1/digest?shard=N   per-shard anti-entropy digest
-//	POST /v1/merge    intra-fleet replication of already-versioned entries
+//	GET  /v1/digest?shard=N   per-shard anti-entropy digest (frame only)
+//	POST /v1/merge    intra-fleet replication of already-versioned entries (frames only)
 //	GET  /v1/ping     liveness probe answering the current member list
-//	POST /v1/membership   epoch-versioned member-list gossip (fleet only)
+//	POST /v1/membership   epoch-versioned member-list gossip (fleet only, frame only)
 //	POST /v1/join     admin: add a node to the live membership
 //	POST /v1/leave    admin: remove a node (the node itself drains first)
-//	GET  /v1/transfer?shard=N&for=NODE&epoch=E   ring-aware bootstrap stream
+//	GET  /v1/transfer?shard=N&for=NODE&epoch=E   ring-aware bootstrap stream (frame only)
 //	GET  /healthz
 //	GET  /metrics     Prometheus text format
 //
@@ -27,10 +27,11 @@
 // Forwarded header stops a second hop), and /v1/digest + /v1/merge
 // carry the fleet's replication and anti-entropy traffic.
 //
-// Every v1 endpoint content-negotiates: an Accept (responses) or
-// Content-Type (request bodies) of application/x-arcs-bin selects the
-// binary codec (internal/codec); JSON stays the default and the
-// fallback. See wire.go and DESIGN.md §11.
+// The peer RPCs (/v1/digest, /v1/merge, /v1/membership, /v1/transfer)
+// speak only the binary codec (internal/codec). /v1/config and
+// /v1/report(s) negotiate: application/x-arcs-bin in Accept (responses)
+// or Content-Type (request bodies) selects frames, JSON is the default.
+// The rest is JSON. See wire.go and DESIGN.md §11.
 package server
 
 import (
@@ -490,9 +491,8 @@ func (s *Server) runSearch(ctx context.Context, req SearchRequest) ([]SearchResu
 }
 
 // handleReport serves both /v1/report and /v1/reports: the endpoints
-// share semantics (both accept one record or many), the second exists so
-// batching clients can probe for it — an old server 404s /v1/reports and
-// the client falls back to the array form on /v1/report.
+// share semantics (both accept one record or many); storeclient sends
+// single reports to the first and batches to the second.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		errorJSON(w, http.StatusMethodNotAllowed, "POST only")
@@ -606,7 +606,8 @@ func (s *Server) applyReports(r *http.Request, reports []codec.Report) int {
 }
 
 // handleDigest serves the per-shard anti-entropy summary (fleet peers'
-// sweep traffic, and a cheap standalone divergence probe). Registered
+// sweep traffic, and a cheap standalone divergence probe) as one
+// KindDigest frame, whatever the Accept header says. Registered
 // unconditionally: a digest of the local store needs no fleet.
 func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -619,52 +620,40 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d := fleet.BuildDigest(s.st, shard)
-	if !acceptsBinary(r) {
-		writeJSON(w, http.StatusOK, d)
-		return
-	}
-	bb := binBufPool.Get().(*binBuf)
-	defer binBufPool.Put(bb)
-	bb.buf = bb.enc.AppendDigest(bb.buf[:0], &d)
-	writeFrame(w, http.StatusOK, bb.buf)
+	writeFrame(w, func(enc *codec.Encoder, dst []byte) []byte { return enc.AppendDigest(dst, &d) })
 }
 
 // handleMerge ingests intra-fleet replication: already-versioned
 // entries applied under store.Supersedes, never re-replicated (the
-// authoring owner fans out itself). The binary body is a concatenation
-// of KindEntry frames — the WAL record format — JSON a []store.Entry.
-// Works standalone too (direct store merges, restore tooling).
+// authoring owner fans out itself). The body is a concatenation of
+// KindEntry frames — the WAL record format; any other body is refused
+// and changes nothing. Works standalone too (direct store merges,
+// restore tooling).
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		errorJSON(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		errorJSON(w, http.StatusBadRequest, "read merge body: %v", err)
+	body, ok := readFrameBody(w, r, 8<<20)
+	if !ok {
 		return
 	}
 	var entries []store.Entry
-	if binaryBody(r) {
-		dec := binDecPool.Get().(*codec.Decoder)
-		defer binDecPool.Put(dec)
-		for pos := 0; pos < len(body); {
-			kind, payload, n, err := codec.Frame(body[pos:])
-			if err != nil || kind != codec.KindEntry {
-				errorJSON(w, http.StatusBadRequest, "bad merge frame at offset %d: %v", pos, err)
-				return
-			}
-			var ce codec.Entry
-			if err := dec.DecodeEntry(payload, &ce); err != nil {
-				errorJSON(w, http.StatusBadRequest, "bad merge entry at offset %d: %v", pos, err)
-				return
-			}
-			entries = append(entries, store.Entry(ce))
-			pos += n
+	dec := binDecPool.Get().(*codec.Decoder)
+	defer binDecPool.Put(dec)
+	for pos := 0; pos < len(body); {
+		kind, payload, n, err := codec.Frame(body[pos:])
+		if err != nil || kind != codec.KindEntry {
+			errorJSON(w, http.StatusBadRequest, "bad merge frame at offset %d: %v", pos, err)
+			return
 		}
-	} else if err := json.Unmarshal(body, &entries); err != nil {
-		errorJSON(w, http.StatusBadRequest, "bad merge body: %v", err)
-		return
+		var ce codec.Entry
+		if err := dec.DecodeEntry(payload, &ce); err != nil {
+			errorJSON(w, http.StatusBadRequest, "bad merge entry at offset %d: %v", pos, err)
+			return
+		}
+		entries = append(entries, store.Entry(ce))
+		pos += n
 	}
 	for i := range entries {
 		if entries[i].Key.App == "" || entries[i].Key.Region == "" {

@@ -1,22 +1,24 @@
 // Content negotiation and pooled response encoding for the arcsd API.
 //
-// JSON is the default and the permanent fallback: a request without an
-// Accept of application/x-arcs-bin gets exactly the responses it always
-// did. Binary is strictly opt-in per request, so a mixed fleet of old
-// and new clients shares one server. Error bodies are always JSON —
-// a binary client still reads the status code, and the body stays
-// debuggable with curl.
+// Each endpoint has one encoding per job. The fleet's peer RPCs are
+// frame-only: /v1/merge and /v1/membership accept only
+// application/x-arcs-bin bodies, and /v1/digest and /v1/transfer always
+// answer with a frame. The surfaces people and curl use keep JSON:
+// /v1/config and /v1/report(s) answer JSON unless the request asks for
+// frames (Accept or Content-Type application/x-arcs-bin), and
+// /v1/neighbors, /v1/dump, /healthz, /metrics and the membership
+// responses stay JSON. Error bodies are always JSON — a binary client
+// still reads the status code, and the body stays debuggable with curl.
 //
-// All response encoding goes through sync.Pools: the previous handlers
-// built a json.Encoder per response and wrote straight to the socket,
-// which showed up as steady allocation churn on the config/report hot
-// path.
+// All response encoding goes through sync.Pools, so the config/report
+// hot path does not allocate an encoder per response.
 package server
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -25,9 +27,9 @@ import (
 	"arcs/internal/codec"
 )
 
-// acceptsBinary reports whether the client asked for binary responses.
-// Absence, */* or application/json keep the JSON default, so a client
-// that never heard of the codec never sees a frame.
+// acceptsBinary reports whether the client asked for binary responses
+// on an endpoint that negotiates. Absence, */* or application/json keep
+// the JSON default.
 func acceptsBinary(r *http.Request) bool {
 	for _, v := range r.Header.Values("Accept") {
 		if strings.Contains(v, codec.ContentType) {
@@ -95,12 +97,32 @@ var (
 	binDecPool = sync.Pool{New: func() any { return new(codec.Decoder) }}
 )
 
-// writeFrame writes one already-encoded binary frame.
-func writeFrame(w http.ResponseWriter, status int, frame []byte) {
+// writeFrame answers 200 with the one frame encode appends to dst,
+// built in a pooled buffer.
+func writeFrame(w http.ResponseWriter, encode func(enc *codec.Encoder, dst []byte) []byte) {
+	bb := binBufPool.Get().(*binBuf)
+	defer binBufPool.Put(bb)
+	bb.buf = encode(&bb.enc, bb.buf[:0])
 	w.Header().Set("Content-Type", codec.ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	w.WriteHeader(status)
-	_, _ = w.Write(frame)
+	w.Header().Set("Content-Length", strconv.Itoa(len(bb.buf)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(bb.buf)
+}
+
+// readFrameBody reads the body of a frame-only endpoint. Any other
+// Content-Type is refused with 415 before the body is read, so a JSON
+// body changes nothing.
+func readFrameBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	if !binaryBody(r) {
+		errorJSON(w, http.StatusUnsupportedMediaType, "%s accepts %s frames only", r.URL.Path, codec.ContentType)
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		errorJSON(w, http.StatusBadRequest, "read %s body: %v", r.URL.Path, err)
+		return nil, false
+	}
+	return body, true
 }
 
 // writeConfig answers /v1/config in the negotiated encoding.
@@ -109,26 +131,20 @@ func writeConfig(w http.ResponseWriter, r *http.Request, resp ConfigResponse) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	bb := binBufPool.Get().(*binBuf)
-	defer binBufPool.Put(bb)
 	ans := codec.ConfigAnswer{
 		Key: resp.Key, Cfg: resp.Config, Perf: resp.Perf, Version: resp.Version,
 		Source: resp.Source, CapDistance: resp.CapDistance,
 	}
-	bb.buf = bb.enc.AppendConfigAnswer(bb.buf[:0], &ans)
-	writeFrame(w, http.StatusOK, bb.buf)
+	writeFrame(w, func(enc *codec.Encoder, dst []byte) []byte { return enc.AppendConfigAnswer(dst, &ans) })
 }
 
-// writeAck acknowledges a report ingest in the negotiated encoding.
+// writeAck acknowledges an ingest in the negotiated encoding.
 func (s *Server) writeAck(w http.ResponseWriter, r *http.Request, saved int) {
 	n := s.st.Len()
 	if !acceptsBinary(r) {
 		writeJSON(w, http.StatusOK, map[string]any{"saved": saved, "store_len": n})
 		return
 	}
-	bb := binBufPool.Get().(*binBuf)
-	defer binBufPool.Put(bb)
 	ack := codec.Ack{Saved: uint64(saved), StoreLen: uint64(n)}
-	bb.buf = bb.enc.AppendAck(bb.buf[:0], &ack)
-	writeFrame(w, http.StatusOK, bb.buf)
+	writeFrame(w, func(enc *codec.Encoder, dst []byte) []byte { return enc.AppendAck(dst, &ack) })
 }

@@ -5,27 +5,37 @@ import (
 	"path/filepath"
 	"testing"
 
+	"arcs/internal/codec"
 	arcs "arcs/internal/core"
 )
 
 // FuzzStoreWAL mirrors core's FuzzLoadHistoryFile for the persistent
-// store: arbitrary bytes in the WAL and snapshot must never panic replay,
-// and whatever replay accepts must round-trip through snapshot + reload.
+// store: arbitrary bytes in the WAL and the binary snapshot must never
+// panic replay, and whatever replay accepts must round-trip through
+// snapshot + reload.
 func FuzzStoreWAL(f *testing.F) {
-	f.Add([]byte(`{"key":{"app":"SP","workload":"B","cap_w":70,"region":"x"},`+
-		`"config":{"threads":16,"schedule":3,"chunk":1},"perf":1.5,"version":1}`+"\n"),
-		[]byte(`[]`))
-	f.Add([]byte("{torn"), []byte(`[{"key":{},"config":{},"perf":2,"version":7}]`))
-	f.Add([]byte("\n\n\x00\xff garbage\n"), []byte(`{not json`))
-	f.Add([]byte(`{"key":{"app":"a|b"},"config":{},"perf":1,"version":2}`+"\n"+
-		`{"key":{"app":"a|b"},"config":{"threads":4},"perf":9,"version":1}`+"\n"), []byte(``))
+	var enc codec.Encoder
+	entry := func(app string, threads int, perf float64, version uint64) codec.Entry {
+		return codec.Entry{
+			Key:  arcs.HistoryKey{App: app, Workload: "B", CapW: 70, Region: "x"},
+			Cfg:  arcs.ConfigValues{Threads: threads, Schedule: 3, Chunk: 1},
+			Perf: perf, Version: version,
+		}
+	}
+	one, pipe, pipeOld := entry("SP", 16, 1.5, 1), entry("a|b", 0, 1, 2), entry("a|b", 4, 9, 1)
+	frame := enc.AppendEntry(nil, &one)
+	snap := enc.AppendSnapshot(nil, []codec.Entry{entry("BT", 8, 2, 7)})
+	f.Add(frame, enc.AppendSnapshot(nil, nil))
+	f.Add(frame[:len(frame)-3], snap)
+	f.Add([]byte("\n\n\x00\xff garbage\n"), snap[:len(snap)/2])
+	f.Add(enc.AppendEntry(enc.AppendEntry(nil, &pipe), &pipeOld), []byte(``))
 	f.Add([]byte(``), []byte(``))
 	f.Fuzz(func(t *testing.T, wal, snapshot []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, WALName), wal, 0o644); err != nil {
 			t.Skip()
 		}
-		if err := os.WriteFile(filepath.Join(dir, SnapshotName), snapshot, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, SnapshotBinName), snapshot, 0o644); err != nil {
 			t.Skip()
 		}
 		s, err := Open(dir, Options{SnapshotEvery: -1})

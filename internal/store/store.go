@@ -9,9 +9,8 @@
 //
 // Durability model: every accepted Save appends one CRC-framed binary
 // record (internal/codec) to the WAL before returning; snapshots use the
-// codec's columnar layout. Legacy JSON/JSONL files replay transparently
-// and are migrated one-way on the first compaction. Replay tolerates
-// arbitrary
+// codec's columnar layout. These are the only formats the store reads
+// or writes. Replay tolerates arbitrary
 // corruption — torn tails from a crash, truncated snapshots, bit flips,
 // or garbage bytes — by skipping records whose checksum or encoding does
 // not verify; a record carries its own per-key monotonic version, so
@@ -29,16 +28,12 @@
 package store
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -47,16 +42,11 @@ import (
 )
 
 const (
-	// SnapshotName, SnapshotBinName and WALName are the file names inside
-	// the store directory (exported for chaos and torture tests that
-	// truncate or corrupt them deliberately). SnapshotName is the legacy
-	// JSON snapshot, read-only since the binary migration: the first
-	// successful compaction writes SnapshotBinName and deletes the legacy
-	// file. WALName keeps its historical extension — the log has carried
-	// three record formats (plain JSON, CRC-prefixed JSON, binary frames)
-	// and replay accepts all of them, so renaming it would only orphan
-	// existing deployments.
-	SnapshotName    = "snapshot.json"
+	// SnapshotBinName and WALName are the file names inside the store
+	// directory (exported for chaos and torture tests that truncate or
+	// corrupt them deliberately). The WAL holds binary frames despite its
+	// historical extension; the name stays so existing store directories
+	// and the tools that locate the WAL by name keep working.
 	SnapshotBinName = "snapshot.bin"
 	WALName         = "wal.jsonl"
 
@@ -76,10 +66,6 @@ const (
 	// after which the store degrades to memory-only serving when
 	// Options.DegradeAfter is zero.
 	DefaultDegradeAfter = 3
-
-	// maxWALLine bounds a single replayed record; longer lines are
-	// corruption by construction (entries marshal to well under 1 KiB).
-	maxWALLine = 1 << 20
 )
 
 // Entry is one stored record: a tuned configuration, the performance that
@@ -176,7 +162,6 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 func (s *Store) walPath() string         { return filepath.Join(s.dir, WALName) }
-func (s *Store) snapshotPath() string    { return filepath.Join(s.dir, SnapshotName) }
 func (s *Store) binSnapshotPath() string { return filepath.Join(s.dir, SnapshotBinName) }
 
 func (s *Store) shard(ck []byte) *shard { return &s.shards[shardOf(ck)] }
@@ -208,46 +193,29 @@ func checkFinite(k arcs.HistoryKey, perf float64) error {
 
 // replaySnapshot loads the compacted snapshot, ignoring a missing or
 // undecodable file (the WAL is the source of truth for anything newer).
-// The binary columnar snapshot is preferred; a store that has never
-// compacted under the binary format falls back to the legacy JSON
-// snapshot, which replays byte-for-byte as it always did.
 func (s *Store) replaySnapshot() {
-	if data, err := s.fs.ReadFile(s.binSnapshotPath()); err == nil {
-		kind, payload, _, ferr := codec.Frame(data)
-		if ferr == nil && kind == codec.KindSnapshot {
-			var dec codec.Decoder
-			if list, derr := dec.DecodeSnapshot(payload); derr == nil {
-				for _, e := range list {
-					s.applyReplay(Entry(e))
-				}
-				return
-			}
-		}
-		// A corrupt binary snapshot is skipped, not fatal — and the
-		// legacy file (if any) predates it, so falling through can only
-		// add older records, which versioned replay resolves correctly.
-	}
-	data, err := s.fs.ReadFile(s.snapshotPath())
+	data, err := s.fs.ReadFile(s.binSnapshotPath())
 	if err != nil {
 		return
 	}
-	var list []Entry
-	if err := json.Unmarshal(data, &list); err != nil {
+	kind, payload, _, err := codec.Frame(data)
+	if err != nil || kind != codec.KindSnapshot {
+		return
+	}
+	var dec codec.Decoder
+	list, err := dec.DecodeSnapshot(payload)
+	if err != nil {
 		return
 	}
 	for _, e := range list {
-		s.applyReplay(e)
+		s.applyReplay(Entry(e))
 	}
 }
 
 // replayWAL applies every verifiable WAL record and returns the count,
-// so a store reopened with a fat WAL compacts on schedule. The log may
-// interleave three generations of record format — binary frames
-// (current), CRC-prefixed JSON lines, and plain JSON lines — because a
-// store opened over a legacy WAL appends binary records after the old
-// ones until the next compaction rewrites everything. The parser
-// dispatches on the first byte: the frame magic is not printable ASCII,
-// so it can never collide with a JSON or hex-checksum line.
+// so a store reopened with a fat WAL compacts on schedule. Bytes that do
+// not start a verified frame are skipped one at a time until the next
+// frame resynchronises the parser.
 func (s *Store) replayWAL() int {
 	data, err := s.fs.ReadFile(s.walPath())
 	if err != nil {
@@ -256,96 +224,27 @@ func (s *Store) replayWAL() int {
 	n := 0
 	var dec codec.Decoder
 	var ce codec.Entry
-	pos := 0
-	for pos < len(data) {
-		switch c := data[pos]; {
-		case c == codec.Magic:
-			kind, payload, fn, err := codec.Frame(data[pos:])
-			switch {
-			case err == nil && kind == codec.KindEntry:
-				if dec.DecodeEntry(payload, &ce) == nil {
-					s.applyReplay(Entry(ce))
-					n++
-				}
-				pos += fn
-			case err == nil:
-				pos += fn // verified frame of an unexpected kind: skip whole
-			case errors.Is(err, codec.ErrTruncated):
-				// Torn tail: whole frames are appended under walMu, so an
-				// incomplete frame can only be the crash-interrupted last
-				// record. Nothing follows it.
-				return n
-			default:
-				pos++ // corrupt frame: resync byte by byte
-			}
-		case c == '\n', c == '\r', c == ' ', c == '\t':
-			pos++
-		default:
-			// Legacy text record: one line, either CRC-prefixed or plain
-			// JSON. A torn or bit-flipped line fails its checksum or its
-			// parse and is skipped, exactly as the line scanner did.
-			line := data[pos:]
-			if i := bytes.IndexByte(line, '\n'); i >= 0 {
-				line = line[:i]
-				pos += i + 1
-			} else {
-				pos = len(data)
-			}
-			line = bytes.TrimSpace(line)
-			if len(line) == 0 || len(line) > maxWALLine {
-				continue
-			}
-			if e, ok := decodeWALLine(line); ok {
-				s.applyReplay(e)
+	for pos := 0; pos < len(data); {
+		kind, payload, fn, err := codec.Frame(data[pos:])
+		switch {
+		case err == nil && kind == codec.KindEntry:
+			if dec.DecodeEntry(payload, &ce) == nil {
+				s.applyReplay(Entry(ce))
 				n++
 			}
+			pos += fn
+		case err == nil:
+			pos += fn // verified frame of an unexpected kind: skip whole
+		case errors.Is(err, codec.ErrTruncated):
+			// Torn tail: whole frames are appended under walMu, so an
+			// incomplete frame can only be the crash-interrupted last
+			// record. Nothing follows it.
+			return n
+		default:
+			pos++ // corrupt frame or stray byte: resync byte by byte
 		}
 	}
 	return n
-}
-
-// encodeWALLine renders one entry in the legacy v2 line format: eight
-// lowercase hex digits of the IEEE CRC32 of the JSON payload, one
-// space, the payload, a newline. New records are written as binary
-// frames (appendWAL); this encoder survives as the reference
-// implementation for the migration tests and the JSON-vs-binary WAL
-// benchmarks.
-func encodeWALLine(e Entry) ([]byte, error) {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return nil, err
-	}
-	line := make([]byte, 0, len(payload)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.ChecksumIEEE(payload))
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// decodeWALLine parses either WAL line format. Legacy (pre-checksum)
-// lines start with '{' and are accepted as plain JSON so an existing WAL
-// replays unchanged; checksummed lines must verify their CRC32 before
-// the payload is even parsed.
-func decodeWALLine(line []byte) (Entry, bool) {
-	var e Entry
-	if line[0] != '{' {
-		if len(line) < 10 || line[8] != ' ' {
-			return Entry{}, false
-		}
-		sum, err := strconv.ParseUint(string(line[:8]), 16, 32)
-		if err != nil {
-			return Entry{}, false
-		}
-		payload := line[9:]
-		if crc32.ChecksumIEEE(payload) != uint32(sum) {
-			return Entry{}, false
-		}
-		line = payload
-	}
-	if err := json.Unmarshal(line, &e); err != nil {
-		return Entry{}, false
-	}
-	return e, true
 }
 
 // Supersedes reports whether e should replace old under the replicated
@@ -719,11 +618,6 @@ func (s *Store) Snapshot() error {
 // leaves the previous snapshot and the current WAL byte-identical: there
 // is no window where data exists in neither file.
 //
-// The snapshot is written in the binary columnar format. A store that
-// still carries a legacy JSON snapshot migrates here, one-way: once the
-// binary file is durably renamed into place it supersedes the JSON one,
-// which is deleted so replay never resurrects stale records from it.
-//
 //arcslint:locked walMu
 func (s *Store) snapshotLocked() error {
 	entries := s.Entries()
@@ -754,13 +648,6 @@ func (s *Store) snapshotLocked() error {
 	if err := s.fs.Rename(tmp, s.binSnapshotPath()); err != nil {
 		_ = s.fs.Remove(tmp)
 		return fmt.Errorf("store: publish snapshot: %w", err)
-	}
-	// The binary snapshot is durable; retire the legacy JSON one so a
-	// later replay cannot prefer or merge a stale generation. A failed
-	// remove is surfaced but not fatal — versioned replay keeps the
-	// overlap harmless until the next compaction retries it.
-	if err := s.fs.Remove(s.snapshotPath()); err != nil && !errors.Is(err, os.ErrNotExist) {
-		s.setErr(fmt.Errorf("store: remove legacy snapshot: %w", err))
 	}
 	// The snapshot now holds everything; start a fresh WAL.
 	if s.wal != nil {
@@ -871,8 +758,6 @@ func (s *Store) Health() Health {
 	}
 	if fi, err := os.Stat(s.binSnapshotPath()); err == nil {
 		h.SnapshotBytes = fi.Size()
-	} else if fi, err := os.Stat(s.snapshotPath()); err == nil {
-		h.SnapshotBytes = fi.Size() // not yet migrated off the JSON snapshot
 	}
 	return h
 }

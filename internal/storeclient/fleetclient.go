@@ -75,7 +75,7 @@ func NewFleet(nodes []string, replicas int, opts ...Option) (*Fleet, error) {
 
 // buildView constructs a view over nodes at the given epoch, reusing
 // clients from old where the node persists so connection pools (and
-// their binary-downgrade latches) survive membership changes.
+// breaker state) survive membership changes.
 func (f *Fleet) buildView(epoch uint64, nodes []string, old *clientView) (*clientView, error) {
 	ring, err := fleet.NewRing(nodes, 0)
 	if err != nil {
@@ -366,8 +366,8 @@ func (f *Fleet) readRepair(ctx context.Context, v *clientView, k arcs.HistoryKey
 // Neighbors fans the neighbour scan out to every member and merges the
 // answers: replicas of the same context are deduplicated (keep-best
 // perf), the union re-ranked under the shared distance order. Any single
-// responsive node yields a usable seed set; nodes without the endpoint
-// (ErrNotFound) or unreachable are skipped.
+// responsive node yields a usable seed set; unreachable nodes are
+// skipped.
 func (f *Fleet) Neighbors(ctx context.Context, k arcs.HistoryKey, max int) ([]arcs.Neighbor, error) {
 	if max <= 0 {
 		return nil, nil
@@ -382,10 +382,8 @@ func (f *Fleet) Neighbors(ctx context.Context, k arcs.HistoryKey, max int) ([]ar
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, err
 			}
-			if !errors.Is(err, ErrNotFound) {
-				lastErr = err
-				f.failovers.Add(1)
-			}
+			lastErr = err
+			f.failovers.Add(1)
 			continue
 		}
 		answered = true

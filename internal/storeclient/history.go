@@ -171,10 +171,9 @@ func (h *History) LoadNearest(k arcs.HistoryKey) (arcs.ConfigValues, float64, bo
 
 // LoadNeighbors implements arcs.NeighborHistory: the server's neighbour
 // scan merged with this process's local mirror (remote entries win on a
-// duplicated context), re-ranked under the shared distance order. A
-// pre-neighbors arcsd (endpoint 404s) or an unreachable daemon degrades
-// to the local mirror alone — never an error, matching the rest of the
-// adapter.
+// duplicated context), re-ranked under the shared distance order. An
+// unreachable daemon degrades to the local mirror alone — never an
+// error, matching the rest of the adapter.
 func (h *History) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
 	if max <= 0 {
 		return nil
@@ -182,7 +181,7 @@ func (h *History) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
 	ctx, cancel := h.ctx()
 	defer cancel()
 	remote, err := h.c.Neighbors(ctx, k, max)
-	if err != nil && !errors.Is(err, ErrNotFound) {
+	if err != nil {
 		h.setErr(err)
 	}
 	h.mu.Lock()

@@ -1,11 +1,10 @@
-// Wire-negotiation tests from the client's side: a binary client
-// against a binary server, a binary client against a JSON-only
-// (pre-codec) server, and the batched report buffer.
+// Wire tests from the client's side: frames end to end against this
+// server, a 200 without a frame where one is expected, and the batched
+// report buffer.
 package storeclient_test
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -44,11 +43,11 @@ func testKey(region string) arcs.HistoryKey {
 	return arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: region}
 }
 
-// TestBinaryClientBinaryServer: WithBinary negotiates frames end to end
-// — report, batch and lookup all travel binary and round-trip exactly.
+// TestBinaryClientBinaryServer: report, batch and lookup all travel as
+// frames and round-trip exactly.
 func TestBinaryClientBinaryServer(t *testing.T) {
 	var binResponses atomic.Int64
-	c := newServedCounting(t, &binResponses, WithBinary())
+	c := newServedCounting(t, &binResponses)
 	ctx := context.Background()
 	cfg := arcs.ConfigValues{Threads: 16, Chunk: 8, FreqGHz: 2.2}
 
@@ -73,86 +72,24 @@ func TestBinaryClientBinaryServer(t *testing.T) {
 	if n := binResponses.Load(); n != 3 {
 		t.Fatalf("binary responses = %d, want 3", n)
 	}
-	if c.BinaryDowngraded() || c.BatchDowngraded() {
-		t.Fatal("downgrade latches tripped against a binary-capable server")
-	}
 }
 
-// oldJSONServer mimics a pre-codec arcsd: JSON only, no /v1/reports.
-// It returns the handler counts so tests can see which path served.
-func oldJSONServer(t *testing.T) (base string, reports *atomic.Int64, saved *atomic.Int64) {
-	t.Helper()
-	reports, saved = new(atomic.Int64), new(atomic.Int64)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/report", func(w http.ResponseWriter, r *http.Request) {
-		reports.Add(1)
-		var recs []Report
-		if err := json.NewDecoder(r.Body).Decode(&recs); err != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			_, _ = w.Write([]byte(`{"error":"bad report body"}`))
-			return
-		}
-		saved.Add(int64(len(recs)))
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"saved":1,"store_len":1}`))
-	})
-	mux.HandleFunc("/v1/config", func(w http.ResponseWriter, r *http.Request) {
+// TestLookupRejectsJSONAnswer: /v1/config has a frame form, so a 200
+// that carries JSON instead is an error, never a silently decoded
+// answer.
+func TestLookupRejectsJSONAnswer(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write([]byte(`{"config":{"threads":4},"perf":2,"version":1,"source":"exact"}`))
-	})
-	ts := httptest.NewServer(mux)
+	}))
 	t.Cleanup(ts.Close)
-	return ts.URL, reports, saved
-}
-
-// TestBinaryClientJSONOnlyServer: a WithBinary client against a
-// pre-codec server downgrades — one probe, then JSON for good — and
-// loses no reports doing it.
-func TestBinaryClientJSONOnlyServer(t *testing.T) {
-	base, reportCalls, saved := oldJSONServer(t)
-	c := New(base, WithBinary(), WithBackoff(time.Millisecond))
-	ctx := context.Background()
-
-	// Lookup: the old server ignores Accept and answers JSON, which the
-	// binary client must decode as it always did.
-	res, err := c.Lookup(ctx, testKey("r"), LookupOpts{})
-	if err != nil {
-		t.Fatal(err)
+	c := New(ts.URL, WithRetries(0))
+	res, err := c.Lookup(context.Background(), testKey("r"), LookupOpts{})
+	if err == nil {
+		t.Fatalf("JSON answer to a lookup accepted: %+v", res)
 	}
-	if res.Config.Threads != 4 || res.Source != "exact" {
-		t.Fatalf("lookup against old server = %+v", res)
-	}
-
-	// Report: binary body → 400 → JSON resend succeeds → latch.
-	if err := c.Report(ctx, testKey("r"), arcs.ConfigValues{Threads: 4}, 2); err != nil {
-		t.Fatalf("report against old server: %v", err)
-	}
-	if !c.BinaryDowngraded() {
-		t.Fatal("binary downgrade not latched after a 400")
-	}
-	if n := reportCalls.Load(); n != 2 {
-		t.Fatalf("first report took %d requests, want 2 (binary probe + JSON resend)", n)
-	}
-	// Latched: the next report goes straight to JSON, no extra probe.
-	if err := c.Report(ctx, testKey("r"), arcs.ConfigValues{Threads: 4}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if n := reportCalls.Load(); n != 3 {
-		t.Fatalf("latched report took %d total requests, want 3", n)
-	}
-
-	// Batch: /v1/reports 404s → falls back to a JSON array on /v1/report.
-	if err := c.ReportBatch(ctx, []Report{
-		{Key: testKey("a"), Perf: 1}, {Key: testKey("b"), Perf: 2},
-	}); err != nil {
-		t.Fatalf("batch against old server: %v", err)
-	}
-	if !c.BatchDowngraded() {
-		t.Fatal("batch downgrade not latched after a 404")
-	}
-	if saved.Load() != 4 {
-		t.Fatalf("old server saved %d reports, want 4", saved.Load())
+	if !strings.Contains(err.Error(), "application/json") {
+		t.Fatalf("error %q does not name the unexpected content type", err)
 	}
 }
 
@@ -160,7 +97,7 @@ func TestBinaryClientJSONOnlyServer(t *testing.T) {
 // and Flush pushes the tail.
 func TestReportBufferFlushOnFull(t *testing.T) {
 	var binResponses atomic.Int64
-	c := newServedCounting(t, &binResponses, WithBinary())
+	c := newServedCounting(t, &binResponses)
 	b := NewReportBuffer(c, 3)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
@@ -214,7 +151,7 @@ func TestReportBufferDropsOnDeadServer(t *testing.T) {
 // the threshold, and Flush delivers the tail.
 func TestHistoryBatching(t *testing.T) {
 	var binResponses atomic.Int64
-	c := newServedCounting(t, &binResponses, WithBinary())
+	c := newServedCounting(t, &binResponses)
 	h := NewHistory(c, WithReportBatching(2))
 	h.Save(testKey("a"), arcs.ConfigValues{Threads: 2}, 2)
 	h.Save(testKey("b"), arcs.ConfigValues{Threads: 4}, 1) // threshold: one RPC
