@@ -3,6 +3,7 @@ package arcs
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -91,6 +92,9 @@ func BatchSearch(ctx context.Context, arch *sim.Arch, regions []RegionModel, opt
 	}
 	if opts.Cache != nil && (opts.App == "" || opts.Workload == "") {
 		return nil, fmt.Errorf("arcs: eval cache requires App and Workload identity")
+	}
+	if math.IsNaN(opts.CapW) || math.IsInf(opts.CapW, 0) {
+		return nil, fmt.Errorf("arcs: power cap %g is not finite", opts.CapW)
 	}
 	space := opts.Space
 	if len(space.Threads) == 0 && len(space.Schedules) == 0 && len(space.Chunks) == 0 {
@@ -212,7 +216,7 @@ func searchRegion(ctx context.Context, rm RegionModel, env searchEnv) (BatchSear
 				defer wg.Done()
 				key := evalcache.Key{
 					Arch: env.archName, App: env.opts.App, Workload: env.opts.Workload,
-					Region: rm.Name, CapW: env.effCap, Config: cacheConfigKey(cfg),
+					Region: rm.Name, CapW: env.effCap, Config: cfg.evalConfig(),
 				}
 				served := false
 				v, err := env.opts.Cache.Do(key, func() (float64, error) {
@@ -292,11 +296,9 @@ func (c ConfigValues) simConfig(arch *sim.Arch) sim.Config {
 	return sim.Config{Threads: t, Sched: sched, Chunk: c.Chunk, Bind: bind}
 }
 
-// cacheConfigKey renders a configuration's canonical cache-key form. It is
-// injective over decoded ConfigValues (plain numeric fields, '/'-joined)
-// unlike the human-oriented String form.
-func cacheConfigKey(c ConfigValues) string {
-	return fmt.Sprintf("%d/%d/%d/%g/%d", c.Threads, int(c.Schedule), c.Chunk, c.FreqGHz, int(c.Bind))
+// evalConfig is c as an eval-cache key field.
+func (c ConfigValues) evalConfig() evalcache.Config {
+	return evalcache.Config{Threads: c.Threads, Schedule: int(c.Schedule), Chunk: c.Chunk, Bind: int(c.Bind), FreqGHz: c.FreqGHz}
 }
 
 // newStrategy builds the Harmony strategy for one search. Shared by the

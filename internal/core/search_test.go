@@ -2,6 +2,7 @@ package arcs
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -125,6 +126,13 @@ func TestBatchSearchValidation(t *testing.T) {
 		// Crill clamps caps above TDP, so use an uncappable arch instead.
 		t.Log("cap clamped (expected on Crill)")
 	}
+	// A non-finite cap is rejected, not searched uncapped: it would also
+	// key every probe under a cap no later search can name.
+	for _, capW := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := BatchSearch(ctx, arch, searchRegions(), BatchSearchOptions{Space: smallSpace(), CapW: capW}); err == nil {
+			t.Errorf("cap %g must fail", capW)
+		}
+	}
 	mino := sim.Minotaur()
 	if _, err := BatchSearch(ctx, mino, []RegionModel{{Name: "r", Model: imbalancedLoop()}}, BatchSearchOptions{CapW: 50}); err == nil {
 		t.Error("capping an uncappable architecture must fail")
@@ -147,59 +155,5 @@ func TestBatchSearchDefaultSpace(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Evals == 0 || got[0].Perf <= 0 {
 		t.Fatalf("unexpected result %+v", got)
-	}
-}
-
-// TestTunerEvalCache: two online tuner runs sharing an eval cache — the
-// second run serves every trial from the cache (hits counter moves) and
-// converges to the same configuration.
-func TestTunerEvalCache(t *testing.T) {
-	cache := evalcache.New()
-	regions := map[string]*sim.LoopModel{"alpha": imbalancedLoop()}
-	opts := Options{
-		Strategy:  StrategyOnline,
-		Space:     smallSpace(),
-		Seed:      5,
-		EvalCache: cache,
-		Key: func(region string) HistoryKey {
-			return HistoryKey{App: "unit", Workload: "test", CapW: 115, Region: region}
-		},
-	}
-
-	run := func() (ConfigValues, float64, float64) {
-		r := newRig(t)
-		tuner, err := New(r.apx, r.mach.Arch(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.runApp(t, 60, regions)
-		rep := tuner.Report()
-		if len(rep) != 1 {
-			t.Fatalf("got %d region reports", len(rep))
-		}
-		return rep[0].Config, rep[0].Perf, r.apx.Counter("arcs.evalcache_hits")
-	}
-
-	cfg1, perf1, hits1 := run()
-	if cache.Len() == 0 {
-		t.Fatal("first run cached nothing")
-	}
-	if hits1 != 0 {
-		t.Errorf("first run had %g cache hits, want 0", hits1)
-	}
-	cfg2, perf2, hits2 := run()
-	if hits2 == 0 {
-		t.Error("second run never hit the eval cache")
-	}
-	if cfg1 != cfg2 || perf1 != perf2 {
-		t.Errorf("cached run diverged: %v/%g vs %v/%g", cfg2, perf2, cfg1, perf1)
-	}
-}
-
-// TestTunerEvalCacheRequiresKey: New rejects an EvalCache without Key.
-func TestTunerEvalCacheRequiresKey(t *testing.T) {
-	r := newRig(t)
-	if _, err := New(r.apx, r.mach.Arch(), Options{EvalCache: evalcache.New()}); err == nil {
-		t.Error("EvalCache without Key must fail")
 	}
 }

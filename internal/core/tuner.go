@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"arcs/internal/apex"
-	"arcs/internal/evalcache"
 	"arcs/internal/harmony"
 	"arcs/internal/ompt"
 	"arcs/internal/sim"
@@ -145,15 +144,6 @@ type Options struct {
 	// being tuned (no further ICV calls, hence no configuration-change
 	// overhead). Zero tunes every region, as the published ARCS does.
 	MinRegionS float64
-
-	// EvalCache, when non-nil, memoises measured objective values by
-	// (arch, app, workload, region, cap, config): trial points whose value
-	// is already cached are reported to the session without re-executing
-	// the region under them, and fresh measurements are written back.
-	// Requires Key (the cache reuses its app/workload/cap context). Leave
-	// nil when measurements are noisy — replaying one run's sample as
-	// another run's truth would bake the noise in.
-	EvalCache *evalcache.Cache
 }
 
 // Tuner is the ARCS policy instance. Create it with New, attach the APEX
@@ -161,7 +151,6 @@ type Options struct {
 // Finish to persist search results.
 type Tuner struct {
 	apx  *apex.Instance
-	arch *sim.Arch
 	opts Options
 	hs   harmony.Space
 
@@ -229,14 +218,11 @@ func New(apx *apex.Instance, arch *sim.Arch, opts Options) (*Tuner, error) {
 	default:
 		return nil, fmt.Errorf("arcs: unknown strategy %d", int(opts.Strategy))
 	}
-	if opts.EvalCache != nil && opts.Key == nil {
-		return nil, fmt.Errorf("arcs: EvalCache requires Key")
-	}
 	hs, err := opts.Space.HarmonySpace()
 	if err != nil {
 		return nil, err
 	}
-	t := &Tuner{apx: apx, arch: arch, opts: opts, hs: hs, regions: make(map[string]*regionState)}
+	t := &Tuner{apx: apx, opts: opts, hs: hs, regions: make(map[string]*regionState)}
 	t.ids = append(t.ids,
 		apx.RegisterPolicy(apex.TimerStart, t.onStart),
 		apx.RegisterPolicy(apex.TimerStop, t.onStop),
@@ -302,21 +288,6 @@ func hashName(name string) int64 {
 	return int64(h.Sum64())
 }
 
-// evalKey builds the eval-cache key for one (region, configuration) pair,
-// reusing Key's app/workload/cap context. The cap MUST be part of the key:
-// the same configuration performs very differently at 55 W and at TDP.
-func (t *Tuner) evalKey(region string, cfg ConfigValues) evalcache.Key {
-	hk := t.opts.Key(region)
-	return evalcache.Key{
-		Arch:     t.arch.Name,
-		App:      hk.App,
-		Workload: hk.Workload,
-		Region:   region,
-		CapW:     hk.CapW,
-		Config:   cacheConfigKey(cfg),
-	}
-}
-
 // onStart is the TimerStart policy: it chooses and applies the
 // configuration for the imminent region invocation.
 func (t *Tuner) onStart(ctx apex.Context) {
@@ -361,31 +332,6 @@ func (t *Tuner) onStart(ctx apex.Context) {
 			rs.sess = t.newSession(ctx.Timer, rs)
 		}
 		p, done := rs.sess.Fetch()
-		// Drain trial points whose value the eval cache already knows:
-		// report them straight to the session, so the region only ever
-		// executes under configurations nobody has measured before. The
-		// guard bounds the drain against a pathological cache (a session
-		// proposes at most Size distinct points plus replayed duplicates).
-		if t.opts.EvalCache != nil {
-			for guard := 0; !done && guard < t.hs.Size()+64; guard++ {
-				cfg, err := t.opts.Space.Decode(p)
-				if err != nil {
-					break
-				}
-				v, ok := t.opts.EvalCache.Get(t.evalKey(ctx.Timer, cfg))
-				if !ok {
-					break
-				}
-				t.apx.IncrCounter("arcs.evalcache_hits", 1)
-				rs.sess.Report(v)
-				if !rs.hasBest || v < rs.bestPerf {
-					rs.bestCfg = cfg
-					rs.bestPerf = v
-					rs.hasBest = true
-				}
-				p, done = rs.sess.Fetch()
-			}
-		}
 		cfg, err := t.opts.Space.Decode(p)
 		if err != nil {
 			t.apx.IncrCounter("arcs.decode_errors", 1)
@@ -525,9 +471,6 @@ func (t *Tuner) onStop(ctx apex.Context) {
 			perf = ctx.Metrics.TimeS // fall back to time
 		}
 		rs.sess.Report(perf)
-		if t.opts.EvalCache != nil && err == nil {
-			t.opts.EvalCache.Put(t.evalKey(ctx.Timer, rs.current), perf)
-		}
 		if !rs.hasBest || perf < rs.bestPerf {
 			rs.bestCfg = rs.current
 			rs.bestPerf = perf

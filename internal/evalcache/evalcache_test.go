@@ -8,34 +8,97 @@ import (
 	"testing"
 )
 
-func key(region, cfg string, cap float64) Key {
-	return Key{Arch: "Crill", App: "sp", Workload: "C", Region: region, CapW: cap, Config: cfg}
+func key(region string, threads int, cap float64) Key {
+	return Key{
+		Arch: "Crill", App: "sp", Workload: "C", Region: region, CapW: cap,
+		Config: Config{Threads: threads, Schedule: 2, Chunk: 8},
+	}
 }
 
+// hit reports whether Do served k from the cache (f did not run), and the
+// value it returned.
+func hit(c *Cache, k Key, v float64) (float64, bool) {
+	ran := false
+	got, _ := c.Do(k, func() (float64, error) { ran = true; return v, nil })
+	return got, !ran
+}
+
+// TestGetPut: the get/put round trip through Do — a miss computes and
+// stores, a repeat hits with the stored value, and a different cap is a
+// different entry.
 func TestGetPut(t *testing.T) {
 	c := New()
-	k := key("rhs", "16, dynamic, 8", 70)
-	if _, ok := c.Get(k); ok {
+	k := key("rhs", 16, 70)
+	if _, ok := hit(c, k, 1.25); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(k, 1.25)
-	v, ok := c.Get(k)
+	v, ok := hit(c, k, 9)
 	if !ok || v != 1.25 {
-		t.Fatalf("Get = %g, %v; want 1.25, true", v, ok)
+		t.Fatalf("Do = %g, hit %v; want 1.25, true", v, ok)
 	}
 	// Distinct cap, same everything else: distinct entry.
-	if _, ok := c.Get(key("rhs", "16, dynamic, 8", 55)); ok {
+	if _, ok := hit(c, key("rhs", 16, 55), 2); ok {
 		t.Fatal("cap 55 aliased cap 70")
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Entries != 1 {
-		t.Errorf("stats = %+v; want 1 hit, 1 entry", st)
+	if st.Hits != 1 || st.Misses != 2 || st.Entries != 2 {
+		t.Errorf("stats = %+v; want 1 hit, 2 misses, 2 entries", st)
+	}
+}
+
+// TestKeyFieldsDistinct: a Key differing from the base in any single
+// field, including each Config field, is its own entry; an equal Key
+// (built separately) hits the base entry.
+func TestKeyFieldsDistinct(t *testing.T) {
+	base := Key{
+		Arch: "Crill", App: "sp", Workload: "C", Region: "rhs", CapW: 70,
+		Config: Config{Threads: 16, Schedule: 2, Chunk: 8, Bind: 1, FreqGHz: 1.8},
+	}
+	cases := []struct {
+		name string
+		mod  func(*Key)
+	}{
+		{"arch", func(k *Key) { k.Arch = "Minotaur" }},
+		{"app", func(k *Key) { k.App = "bt" }},
+		{"workload", func(k *Key) { k.Workload = "B" }},
+		{"region", func(k *Key) { k.Region = "x_solve" }},
+		{"cap", func(k *Key) { k.CapW = 55 }},
+		{"threads", func(k *Key) { k.Config.Threads = 8 }},
+		{"schedule", func(k *Key) { k.Config.Schedule = 1 }},
+		{"chunk", func(k *Key) { k.Config.Chunk = 16 }},
+		{"bind", func(k *Key) { k.Config.Bind = 2 }},
+		{"freq", func(k *Key) { k.Config.FreqGHz = 2.4 }},
+		// The separator-collision shapes a joined string form had to
+		// escape are just different field values.
+		{"region-with-separator", func(k *Key) { k.Region = "rhs|16" }},
+		{"shifted-fields", func(k *Key) { k.Workload, k.Region = "C|rhs", "" }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New()
+			hit(c, base, 1)
+			k := base
+			tc.mod(&k)
+			if v, ok := hit(c, k, 2); ok {
+				t.Errorf("%+v aliased base entry (got %g)", k, v)
+			}
+			same := Key{
+				Arch: "Crill", App: "sp", Workload: "C", Region: "rhs", CapW: 70,
+				Config: Config{Threads: 16, Schedule: 2, Chunk: 8, Bind: 1, FreqGHz: 1.8},
+			}
+			if v, ok := hit(c, same, 3); !ok || v != 1 {
+				t.Errorf("equal key: Do = %g, hit %v; want 1, true", v, ok)
+			}
+			if c.Len() != 2 {
+				t.Errorf("Len = %d, want 2", c.Len())
+			}
+		})
 	}
 }
 
 func TestDoMemoises(t *testing.T) {
 	c := New()
-	k := key("rhs", "8, static", 115)
+	k := key("rhs", 8, 115)
 	var calls atomic.Int64
 	f := func() (float64, error) { calls.Add(1); return 2.5, nil }
 	for i := 0; i < 5; i++ {
@@ -55,17 +118,17 @@ func TestDoMemoises(t *testing.T) {
 
 func TestDoErrorNotCached(t *testing.T) {
 	c := New()
-	k := key("rhs", "8, static", 115)
+	k := key("rhs", 8, 115)
 	boom := errors.New("boom")
 	if _, err := c.Do(k, func() (float64, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if _, ok := c.Get(k); ok {
+	if c.Len() != 0 {
 		t.Fatal("error result was cached")
 	}
-	v, err := c.Do(k, func() (float64, error) { return 3, nil })
-	if err != nil || v != 3 {
-		t.Fatalf("retry Do = %g, %v", v, err)
+	// The retry computes afresh rather than sharing the failure.
+	if v, ok := hit(c, k, 3); ok || v != 3 {
+		t.Fatalf("retry Do = %g, hit %v; want 3, false", v, ok)
 	}
 	st := c.Stats()
 	if st.Errors != 1 || st.Entries != 1 {
@@ -77,7 +140,7 @@ func TestDoErrorNotCached(t *testing.T) {
 // function exactly once; everyone shares the result. Run under -race.
 func TestDoSingleFlight(t *testing.T) {
 	c := New()
-	k := key("rhs", "32, guided, 4", 85)
+	k := key("rhs", 32, 85)
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	const workers = 32
@@ -130,7 +193,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := key(fmt.Sprintf("r%d", i%17), fmt.Sprintf("cfg%d", i%5), float64(55+5*(i%3)))
+				k := key(fmt.Sprintf("r%d", i%17), i%5, float64(55+5*(i%3)))
 				want := float64(i%17*100 + i%5*10 + i%3)
 				v, err := c.Do(k, func() (float64, error) { return want, nil })
 				if err != nil || v != want {
@@ -152,37 +215,16 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 // the cache optional without nil checks at every site.
 func TestNilCache(t *testing.T) {
 	var c *Cache
-	if _, ok := c.Get(key("r", "c", 70)); ok {
-		t.Error("nil cache hit")
-	}
-	c.Put(key("r", "c", 70), 1)
-	v, err := c.Do(key("r", "c", 70), func() (float64, error) { return 4, nil })
-	if err != nil || v != 4 {
-		t.Errorf("nil Do = %g, %v", v, err)
+	for i := 0; i < 2; i++ {
+		// Every call computes: nothing is ever stored.
+		if v, ok := hit(c, key("r", 1, 70), 4); ok || v != 4 {
+			t.Errorf("nil Do = %g, hit %v; want 4, false", v, ok)
+		}
 	}
 	if st := c.Stats(); st != (Stats{}) {
 		t.Errorf("nil Stats = %+v", st)
 	}
 	if c.Len() != 0 {
 		t.Error("nil Len != 0")
-	}
-}
-
-// TestKeyStringInjectiveSeparators: fields containing the separator or
-// escape characters never collide — the regression class the history
-// store fixed and the fuzz target patrols.
-func TestKeyStringInjectiveSeparators(t *testing.T) {
-	pairs := [][2]Key{
-		{key("a|b", "c", 70), key("a", "b|c", 70)},
-		{key(`a\`, `|b`, 70), key(`a`, `\|b`, 70)},
-		{key("r", "c", 7), {Arch: "Crill", App: "sp", Workload: "C|r", Region: "", CapW: 7, Config: "c"}},
-	}
-	for _, p := range pairs {
-		if p[0] == p[1] {
-			continue
-		}
-		if p[0].String() == p[1].String() {
-			t.Errorf("distinct keys collide: %+v vs %+v -> %q", p[0], p[1], p[0].String())
-		}
 	}
 }

@@ -26,13 +26,16 @@
 // are reused if the search reaches them later.
 //
 // Points are index vectors into the per-parameter value sets; mapping
-// indices to OpenMP configuration values is the caller's concern.
+// indices to OpenMP configuration values is the caller's concern. The
+// lattice has one numbering: Space.At(i) is the i-th point in
+// lexicographic order (dimension 0 slowest) and Space.Index is its
+// inverse on valid points. Sessions and strategies key their bookkeeping
+// on these indices, and Exhaustive enumerates them in order.
 package harmony
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 )
 
 // Param is one tunable dimension: a name and the cardinality of its
@@ -100,20 +103,30 @@ func (s Space) Clamp(p Point) Point {
 	return out
 }
 
+// At returns the idx-th lattice point in lexicographic order, dimension 0
+// slowest; idx must be in [0, Size()).
+func (s Space) At(idx int) Point {
+	p := make(Point, len(s.Params))
+	for i := len(p) - 1; i >= 0; i-- {
+		card := s.Params[i].Card
+		p[i] = idx % card
+		idx /= card
+	}
+	return p
+}
+
+// Index is the inverse of At: the lexicographic position of p, which must
+// be a valid point of this space.
+func (s Space) Index(p Point) int {
+	idx := 0
+	for i, v := range p {
+		idx = idx*s.Params[i].Card + v
+	}
+	return idx
+}
+
 // Point is an index vector, one index per parameter.
 type Point []int
-
-// Key renders a canonical map key.
-func (p Point) Key() string {
-	var b strings.Builder
-	for i, v := range p {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(v))
-	}
-	return b.String()
-}
 
 // Clone returns a copy.
 func (p Point) Clone() Point {
@@ -175,7 +188,7 @@ type Session struct {
 	space Space
 	strat Strategy
 
-	cache    map[string]float64
+	cache    map[int]float64 // by lattice index
 	pending  Point
 	hasPend  bool
 	best     Point
@@ -187,12 +200,12 @@ type Session struct {
 	// Batched-protocol state: the outstanding FetchBatch (nil when none)
 	// and the memo of measured-but-not-yet-consumed speculative results.
 	batch []Point
-	memo  map[string]float64
+	memo  map[int]float64 // by lattice index
 }
 
 // NewSession creates a session for the given space and strategy.
 func NewSession(space Space, strat Strategy) *Session {
-	return &Session{space: space, strat: strat, cache: make(map[string]float64)}
+	return &Session{space: space, strat: strat, cache: make(map[int]float64)}
 }
 
 // Space returns the session's parameter space.
@@ -220,7 +233,7 @@ func (s *Session) Fetch() (p Point, done bool) {
 			return s.bestOrZero(), true
 		}
 		p = s.space.Clamp(p)
-		if perf, seen := s.cache[p.Key()]; seen {
+		if perf, seen := s.cache[s.space.Index(p)]; seen {
 			s.strat.Report(p, perf)
 			if s.strat.Converged() {
 				return s.bestOrZero(), true
@@ -243,7 +256,7 @@ func (s *Session) Report(perf float64) {
 	}
 	p := s.pending
 	s.hasPend = false
-	s.cache[p.Key()] = perf
+	s.cache[s.space.Index(p)] = perf
 	s.evals++
 	if !s.hasBest || perf < s.bestPerf {
 		s.best = p.Clone()
@@ -275,27 +288,22 @@ func (s *Session) FetchBatch(max int) (batch []Point, done bool) {
 	}
 	batch = append(batch, s.pending.Clone())
 	if bs, ok := s.strat.(BatchStrategy); ok && max > 1 {
+		idxs := []int{s.space.Index(s.pending)}
 		for _, q := range bs.NextBatch(max) {
 			if len(batch) >= max {
 				break
 			}
 			q = s.space.Clamp(q)
-			k := q.Key()
+			k := s.space.Index(q)
 			if _, seen := s.cache[k]; seen {
 				continue
 			}
 			if _, seen := s.memo[k]; seen {
 				continue
 			}
-			dup := false
-			for _, b := range batch {
-				if b.Key() == k {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if !slices.Contains(idxs, k) {
 				batch = append(batch, q)
+				idxs = append(idxs, k)
 			}
 		}
 	}
@@ -317,17 +325,17 @@ func (s *Session) ReportBatch(perfs []float64) {
 		panic(fmt.Sprintf("harmony: ReportBatch got %d perfs for a batch of %d", len(perfs), len(s.batch)))
 	}
 	if s.memo == nil {
-		s.memo = make(map[string]float64)
+		s.memo = make(map[int]float64)
 	}
 	for i, q := range s.batch {
-		s.memo[q.Key()] = perfs[i]
+		s.memo[s.space.Index(q)] = perfs[i]
 	}
 	s.batch = nil
 	// Drain: consume memoised results through the serial protocol until a
 	// fetched point needs a fresh evaluation (it becomes the head of the
 	// next batch) or the search converges.
 	for s.hasPend {
-		perf, ok := s.memo[s.pending.Key()]
+		perf, ok := s.memo[s.space.Index(s.pending)]
 		if !ok {
 			return
 		}

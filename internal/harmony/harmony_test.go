@@ -1,6 +1,7 @@
 package harmony
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -73,9 +74,6 @@ func TestSpaceValidClamp(t *testing.T) {
 
 func TestPointHelpers(t *testing.T) {
 	p := Point{1, 2, 3}
-	if p.Key() != "1,2,3" {
-		t.Errorf("Key = %q", p.Key())
-	}
 	q := p.Clone()
 	q[0] = 9
 	if p[0] != 1 {
@@ -83,6 +81,41 @@ func TestPointHelpers(t *testing.T) {
 	}
 	if !p.Equal(Point{1, 2, 3}) || p.Equal(q) || p.Equal(Point{1, 2}) {
 		t.Errorf("Equal wrong")
+	}
+}
+
+// TestIndexAtRoundTrip: At enumerates the lattice in the lexicographic
+// odometer order (dimension 0 slowest, last dimension fastest) and Index
+// inverts it, including over cardinality-1 dimensions.
+func TestIndexAtRoundTrip(t *testing.T) {
+	for _, cards := range [][]int{{1}, {7}, {7, 4, 9}, {1, 1, 1}, {6, 1, 5, 4}, {1, 3, 1, 2, 1}, {2, 2, 2, 2, 2}} {
+		params := make([]Param, len(cards))
+		for i, c := range cards {
+			params[i] = Param{Name: fmt.Sprint("p", i), Card: c}
+		}
+		s, err := NewSpace(params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		odo := make(Point, len(cards))
+		for i := 0; i < s.Size(); i++ {
+			p := s.At(i)
+			if !p.Equal(odo) {
+				t.Fatalf("cards %v: At(%d) = %v, want %v", cards, i, p, odo)
+			}
+			if !s.Valid(p) {
+				t.Fatalf("cards %v: At(%d) = %v is not valid", cards, i, p)
+			}
+			if got := s.Index(p); got != i {
+				t.Fatalf("cards %v: Index(%v) = %d, want %d", cards, p, got, i)
+			}
+			for d := len(odo) - 1; d >= 0; d-- {
+				if odo[d]++; odo[d] < cards[d] {
+					break
+				}
+				odo[d] = 0
+			}
+		}
 	}
 }
 
@@ -100,7 +133,7 @@ func TestExhaustiveCoversSpace(t *testing.T) {
 			}
 			break
 		}
-		seen[p.Key()]++
+		seen[fmt.Sprint(p)]++
 		sess.Report(f(p))
 	}
 	if len(seen) != s.Size() {
@@ -234,7 +267,7 @@ func TestRandomBudgetAndDeterminism(t *testing.T) {
 			if !ok {
 				break
 			}
-			keys = append(keys, p.Key())
+			keys = append(keys, fmt.Sprint(p))
 			r.Report(p, 0)
 		}
 		return keys

@@ -278,9 +278,9 @@ func (nm *NelderMead) replaceWorst(x []float64, f float64) {
 
 // collapsed reports whether every vertex rounds to the same lattice point.
 func (nm *NelderMead) collapsed() bool {
-	first := nm.round(nm.simplex[0].x).Key()
+	first := nm.round(nm.simplex[0].x)
 	for _, v := range nm.simplex[1:] {
-		if nm.round(v.x).Key() != first {
+		if !nm.round(v.x).Equal(first) {
 			return false
 		}
 	}

@@ -208,9 +208,9 @@ func (p *PRO) finishRound() {
 
 // collapsed reports whether all vertices round to the same lattice point.
 func (p *PRO) collapsed() bool {
-	first := p.round(p.verts[0].x).Key()
+	first := p.round(p.verts[0].x)
 	for _, v := range p.verts[1:] {
-		if p.round(v.x).Key() != first {
+		if !p.round(v.x).Equal(first) {
 			return false
 		}
 	}

@@ -4,16 +4,16 @@ import "math/rand"
 
 // Exhaustive enumerates every lattice point in lexicographic order — the
 // search the paper's ARCS-Offline strategy runs during its first
-// (unmeasured) execution.
+// (unmeasured) execution. It counts through Space.At.
 type Exhaustive struct {
 	space Space
-	next  Point
-	done  bool
+	size  int
+	next  int // index of the next point to propose
 }
 
 // NewExhaustive creates an exhaustive search over space.
 func NewExhaustive(space Space) *Exhaustive {
-	return &Exhaustive{space: space, next: make(Point, space.Dims())}
+	return &Exhaustive{space: space, size: space.Size()}
 }
 
 // Name implements Strategy.
@@ -21,53 +21,25 @@ func (e *Exhaustive) Name() string { return "exhaustive" }
 
 // Next implements Strategy.
 func (e *Exhaustive) Next() (Point, bool) {
-	if e.done {
+	if e.next >= e.size {
 		return nil, false
 	}
-	p := e.next.Clone()
-	// Advance odometer.
-	for i := e.space.Dims() - 1; i >= 0; i-- {
-		e.next[i]++
-		if e.next[i] < e.space.Params[i].Card {
-			break
-		}
-		e.next[i] = 0
-		if i == 0 {
-			e.done = true
-		}
-	}
-	return p, true
+	e.next++
+	return e.space.At(e.next - 1), true
 }
 
 // Report implements Strategy (exhaustive search ignores feedback).
 func (e *Exhaustive) Report(Point, float64) {}
 
 // Converged implements Strategy.
-func (e *Exhaustive) Converged() bool { return e.done }
+func (e *Exhaustive) Converged() bool { return e.next >= e.size }
 
 // NextBatch implements BatchStrategy: the upcoming enumeration window,
-// read ahead from a copy of the odometer so the serial stream is
-// untouched.
+// up to the end of the lattice.
 func (e *Exhaustive) NextBatch(max int) []Point {
-	if e.done || max < 1 {
-		return nil
-	}
-	cur := e.next.Clone()
-	out := make([]Point, 0, max)
-	for len(out) < max {
-		out = append(out, cur.Clone())
-		carry := true
-		for i := e.space.Dims() - 1; i >= 0; i-- {
-			cur[i]++
-			if cur[i] < e.space.Params[i].Card {
-				carry = false
-				break
-			}
-			cur[i] = 0
-		}
-		if carry {
-			break // wrapped: the window reached the end of the lattice
-		}
+	var out []Point
+	for i := e.next; i < e.size && len(out) < max; i++ {
+		out = append(out, e.space.At(i))
 	}
 	return out
 }

@@ -32,7 +32,7 @@ type SurrogateStrategy struct {
 	maxEvals int
 
 	reports  int
-	observed map[string]bool
+	observed map[int]bool // by lattice index
 	nObs     int
 
 	queue []Point // remaining initial-design points (seed phase)
@@ -58,12 +58,12 @@ type SurrogateStrategy struct {
 	polishQ   []Point
 	done      bool
 
-	// expect maps a transfer seed's lattice key to the perf its source
+	// expect maps a transfer seed's lattice index to the perf its source
 	// context promised (NewSurrogateTransfer). A seed probe that performs
 	// at least that well — the transfer hypothesis verified in one
 	// measurement — ends the search immediately; a seed that deviates
 	// falls through to the full model pipeline.
-	expect map[string]float64
+	expect map[int]float64
 }
 
 // Tuning constants. The probe economics they encode are exercised by the
@@ -113,16 +113,16 @@ func NewSurrogate(space Space, start Point, maxEvals int, seed int64, seeds []Po
 		space:    space,
 		model:    surrogate.NewForest(d, surrogate.Options{Seed: seed}),
 		maxEvals: maxEvals,
-		observed: make(map[string]bool),
+		observed: make(map[int]bool),
 	}
 	// Initial design: transfer seeds first (they are the best guesses),
 	// then the caller's start point, then — only when that leaves the
 	// design too small to fit a first model — deterministic filler drawn
 	// from a seeded stream.
-	inDesign := make(map[string]bool)
+	inDesign := make(map[int]bool)
 	push := func(p Point) {
 		p = space.Clamp(p)
-		if k := p.Key(); !inDesign[k] {
+		if k := space.Index(p); !inDesign[k] {
 			inDesign[k] = true
 			s.queue = append(s.queue, p)
 		}
@@ -138,7 +138,7 @@ func NewSurrogate(space Space, start Point, maxEvals int, seed int64, seeds []Po
 		rng := rand.New(rand.NewSource(seed))
 		sz := space.Size()
 		for tries := 0; len(s.queue) < minDesign && tries < 16*sz; tries++ {
-			push(s.pointAt(rng.Intn(sz)))
+			push(space.At(rng.Intn(sz)))
 		}
 	}
 	s.want, s.queue = s.queue[0], s.queue[1:]
@@ -160,9 +160,9 @@ func NewSurrogateTransfer(space Space, start Point, maxEvals int, seed int64, se
 		if i >= len(perfs) || perfs[i] <= 0 || len(p) != d {
 			continue
 		}
-		k := space.Clamp(p).Key()
+		k := space.Index(space.Clamp(p))
 		if s.expect == nil {
-			s.expect = make(map[string]float64, len(seeds))
+			s.expect = make(map[int]float64, len(seeds))
 		}
 		if _, dup := s.expect[k]; !dup {
 			s.expect[k] = perfs[i]
@@ -226,7 +226,8 @@ func (s *SurrogateStrategy) Report(p Point, f float64) {
 		return
 	}
 	s.reports++
-	if k := p.Key(); !s.observed[k] {
+	k := s.space.Index(p)
+	if !s.observed[k] {
 		s.observed[k] = true
 		s.model.Observe(p, f)
 		s.nObs++
@@ -245,7 +246,7 @@ func (s *SurrogateStrategy) Report(p Point, f float64) {
 	// promised proves the neighbouring optimum carried over — nothing
 	// left worth probing.
 	if s.expect != nil && s.refine == nil && !s.polishing {
-		if e, ok := s.expect[p.Key()]; ok && f <= e*(1+surTransferTolFrac) {
+		if e, ok := s.expect[k]; ok && f <= e*(1+surTransferTolFrac) {
 			s.done = true
 			return
 		}
@@ -329,7 +330,7 @@ func (s *SurrogateStrategy) advance() {
 	for len(s.queue) > 0 {
 		q := s.queue[0]
 		s.queue = s.queue[1:]
-		if !s.observed[q.Key()] {
+		if !s.observed[s.space.Index(q)] {
 			s.want = q
 			return
 		}
@@ -353,10 +354,10 @@ func (s *SurrogateStrategy) fitAndPick() {
 	eis := make([]float64, 0, surCandsMax)
 	sz := s.space.Size()
 	for idx := 0; idx < sz; idx++ {
-		p := s.pointAt(idx)
-		if s.observed[p.Key()] {
+		if s.observed[idx] {
 			continue
 		}
+		p := s.space.At(idx)
 		mean, std, ok := s.model.Predict(p)
 		if !ok {
 			break
@@ -404,18 +405,6 @@ func (s *SurrogateStrategy) enterRefine() {
 		return
 	}
 	s.refine = NewNelderMeadLocal(s.space, s.bestP, budget)
-}
-
-// pointAt decodes a lexicographic lattice index (dimension 0 slowest)
-// into a point.
-func (s *SurrogateStrategy) pointAt(idx int) Point {
-	p := make(Point, s.space.Dims())
-	for i := s.space.Dims() - 1; i >= 0; i-- {
-		card := s.space.Params[i].Card
-		p[i] = idx % card
-		idx /= card
-	}
-	return p
 }
 
 var (

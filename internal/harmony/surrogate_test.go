@@ -1,6 +1,7 @@
 package harmony
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -51,7 +52,7 @@ func TestSurrogateDeterministic(t *testing.T) {
 				best, perf, ok := sess.Best()
 				return trace, sessionOutcome{best: best, perf: perf, evals: sess.Evals(), ok: ok}
 			}
-			trace = append(trace, p.Key())
+			trace = append(trace, fmt.Sprint(p))
 			sess.Report(f(p))
 		}
 		t.Fatal("did not converge")
